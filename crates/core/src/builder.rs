@@ -167,6 +167,7 @@ mod tests {
     use crate::suite::Scale;
 
     fn tiny_build(max: usize) -> BuiltSystem {
+        let _guard = crate::suite::cache_test_guard();
         let bench = Benchmark::lenet5_digits(Scale::Tiny);
         SystemBuilder::new(&bench)
             .candidates(vec![

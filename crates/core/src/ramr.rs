@@ -91,6 +91,7 @@ mod tests {
 
     #[test]
     fn sweep_reports_both_curves_and_ensemble_tolerates_more() {
+        let _guard = crate::suite::cache_test_guard();
         let bench = Benchmark::lenet5_digits(Scale::Tiny);
         let baseline = bench.member(Preprocessor::Identity, 1);
         let members = vec![
@@ -123,6 +124,7 @@ mod tests {
 
     #[test]
     fn sweep_does_not_mutate_originals() {
+        let _guard = crate::suite::cache_test_guard();
         let bench = Benchmark::lenet5_digits(Scale::Tiny);
         let baseline = bench.member(Preprocessor::Identity, 1);
         let mut probe = baseline.clone();

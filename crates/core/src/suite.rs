@@ -549,6 +549,30 @@ fn cache_path(key: &str) -> PathBuf {
     cache_dir().join(format!("{key}.pgmr"))
 }
 
+/// Serializes this crate's tests that resolve members through the model
+/// cache. [`set_cache_dir`] is process-wide, so without it a test that
+/// redirects the cache sees the members other tests resolve meanwhile.
+/// Dropping the guard restores the default cache dir, and a poisoned lock
+/// is taken over, so one failing test cannot fail the others with it.
+#[cfg(test)]
+pub(crate) fn cache_test_guard() -> CacheTestGuard {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    CacheTestGuard { _lock: LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner) }
+}
+
+/// See [`cache_test_guard`].
+#[cfg(test)]
+pub(crate) struct CacheTestGuard {
+    _lock: std::sync::MutexGuard<'static, ()>,
+}
+
+#[cfg(test)]
+impl Drop for CacheTestGuard {
+    fn drop(&mut self) {
+        set_cache_dir(None);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -617,12 +641,9 @@ mod tests {
         assert_eq!(b.data(Split::Test).len(), b.test_count);
     }
 
-    /// Serializes the tests that mutate the process-wide cache override.
-    static CACHE_OVERRIDE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     #[test]
     fn cache_key_tracks_config_changes() {
-        let _guard = CACHE_OVERRIDE_LOCK.lock().unwrap();
+        let _guard = cache_test_guard();
         // Changing anything that shapes the weights — dataset knobs or the
         // training recipe — must change the cache key, or a tuned config
         // would silently load stale models (a bug class this suite hit
@@ -646,7 +667,7 @@ mod tests {
 
     #[test]
     fn member_cache_round_trips() {
-        let _guard = CACHE_OVERRIDE_LOCK.lock().unwrap();
+        let _guard = cache_test_guard();
         let b = Benchmark::lenet5_digits(Scale::Tiny);
         // Unique cache dir for the test.
         let dir = std::env::temp_dir().join(format!("pgmr-test-cache-{}", std::process::id()));
@@ -663,7 +684,7 @@ mod tests {
 
     #[test]
     fn members_share_one_store_arena() {
-        let _guard = CACHE_OVERRIDE_LOCK.lock().unwrap();
+        let _guard = cache_test_guard();
         let b = Benchmark::lenet5_digits(Scale::Tiny);
         let dir = std::env::temp_dir().join(format!("pgmr-share-cache-{}", std::process::id()));
         set_cache_dir(Some(dir.clone()));
@@ -699,7 +720,7 @@ mod tests {
 
     #[test]
     fn corrupt_cache_blob_self_heals() {
-        let _guard = CACHE_OVERRIDE_LOCK.lock().unwrap();
+        let _guard = cache_test_guard();
         let b = Benchmark::lenet5_digits(Scale::Tiny);
         let dir = std::env::temp_dir().join(format!("pgmr-heal-cache-{}", std::process::id()));
         set_cache_dir(Some(dir.clone()));
@@ -739,7 +760,7 @@ mod tests {
 
     #[test]
     fn member_profile_caches_next_to_weights_and_round_trips() {
-        let _guard = CACHE_OVERRIDE_LOCK.lock().unwrap();
+        let _guard = cache_test_guard();
         let b = Benchmark::lenet5_digits(Scale::Tiny);
         let dir = std::env::temp_dir().join(format!("pgmr-profile-cache-{}", std::process::id()));
         set_cache_dir(Some(dir.clone()));

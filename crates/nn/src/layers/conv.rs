@@ -62,8 +62,8 @@ impl Conv2d {
     }
 
     /// Workspace forward core (inference only): the im2col patch matrix
-    /// lives in the arena's shared scratch, zero-filled and reused across
-    /// images; the output comes from the arena. Derives per-image ABFT
+    /// lives in the arena's shared scratch, overwritten per image and reused
+    /// across images; the output comes from the arena. Derives per-image ABFT
     /// expectations inline when `checked` — the inference path keeps no
     /// `cols_cache` to derive them from afterwards.
     fn run_into(

@@ -17,8 +17,8 @@
 //!   (architecture, batch) the arena serves every request from recycled
 //!   storage: zero steady-state heap allocations.
 //! * [`Workspace::scratch`] — one dedicated buffer for im2col patch
-//!   matrices, zero-filled per image (padded taps rely on it) and reused
-//!   across images, layers, and calls.
+//!   matrices, reused across images, layers, and calls. Nothing clears
+//!   it: `im2col_into` overwrites every element, padded taps included.
 //! * [`Workspace::gemm_scratch`] — packing buffers
 //!   ([`pgmr_tensor::gemm::GemmScratch`]) for the blocked GEMM kernels,
 //!   sized once at the largest panel a workload needs;
@@ -184,7 +184,7 @@ impl Workspace {
 
     /// The shared im2col scratch buffer, resized (capacity only grows) to
     /// exactly `len` elements. Contents are unspecified — convolution
-    /// zero-fills it per image via `im2col_into`.
+    /// overwrites all of it per image via `im2col_into`.
     pub fn scratch(&mut self, len: usize) -> &mut [f32] {
         if self.scratch.capacity() < len {
             self.grows += 1;

@@ -202,3 +202,21 @@ fn full_ensemble_mode_serves_without_staging() {
     }
     handle.shutdown();
 }
+
+#[test]
+fn latency_is_recorded_in_nanoseconds() {
+    let (members, test) = trained_members();
+    let system = PolygraphSystem::new(Ensemble::new(members), Thresholds::new(0.4, 2));
+    let handle = ServeHandle::spawn(&system, ServeConfig::default());
+    handle.submit(test.images()[0].clone(), None);
+    assert_eq!(handle.drain(1).len(), 1);
+    handle.shutdown();
+    let snapshot = pgmr_obs::global().snapshot();
+    let latency = snapshot.histogram("serve.latency_ns").expect("serve records its latency");
+    assert_eq!(latency.unit, pgmr_obs::Unit::Nanos, "latency must be a timer, not a value");
+    assert!(latency.count >= 1);
+    // Time-valued histograms are redacted from the reproducibility export.
+    let deterministic = snapshot.to_deterministic_json();
+    let line = deterministic.lines().find(|l| l.contains("\"serve.latency_ns\"")).unwrap();
+    assert!(line.contains("\"unit\": \"ns\"") && !line.contains("\"sum\""), "{line}");
+}

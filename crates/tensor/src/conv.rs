@@ -93,9 +93,17 @@ pub fn im2col(image: &Tensor, geom: &Conv2dGeometry) -> Vec<f32> {
 
 /// [`im2col`] writing into a caller-provided buffer: unfolds the raw
 /// `c·h·w` data of one image (e.g. [`Tensor::image_view`]) into `out`,
-/// which must hold exactly `patch_len · out_spatial` elements. The buffer
-/// is zeroed first — padded taps rely on it — so it can be reused across
-/// images without reallocating.
+/// which must hold exactly `patch_len · out_spatial` elements. Every
+/// element of `out` is overwritten, padded taps with zero, so the buffer
+/// can be reused across images without clearing it.
+///
+/// Each `(channel, ky, kx)` patch row is written as runs rather than tap
+/// by tap: the output rows whose taps fall in the top or bottom padding
+/// are one zero run, and each in-range output row is one copy (stride 1)
+/// or one strided gather. When the rows are as wide as the image (a
+/// stride-1 "same" convolution), consecutive rows are also consecutive in
+/// the image, so the whole in-range span is a single copy, and the pad
+/// columns it ran over are zeroed afterwards.
 ///
 /// # Panics
 ///
@@ -105,28 +113,60 @@ pub fn im2col_into(image: &[f32], geom: &Conv2dGeometry, out: &mut [f32]) {
     assert_eq!(image.len(), c * h * w, "image data disagrees with geometry");
     let cols = geom.out_spatial();
     assert_eq!(out.len(), geom.patch_len() * cols, "output buffer length mismatch");
-    out.fill(0.0);
-    let k = geom.kernel;
+    let (k, s, pad, ow) = (geom.kernel, geom.stride, geom.pad, geom.out_w);
+    let flat = s == 1 && w == ow;
+    let mut rows = out.chunks_exact_mut(cols);
     for ch in 0..c {
-        let ch_base = ch * h * w;
+        let plane = &image[ch * h * w..(ch + 1) * h * w];
         for ky in 0..k {
+            let (oy_lo, oy_hi) = in_range(geom.out_h, h, ky, s, pad);
             for kx in 0..k {
-                let row = (ch * k + ky) * k + kx;
-                let out_row = &mut out[row * cols..(row + 1) * cols];
-                let mut col = 0;
-                for oy in 0..geom.out_h {
-                    let iy = (oy * geom.stride + ky) as isize - geom.pad as isize;
-                    for ox in 0..geom.out_w {
-                        let ix = (ox * geom.stride + kx) as isize - geom.pad as isize;
-                        if iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize {
-                            out_row[col] = image[ch_base + iy as usize * w + ix as usize];
+                let (ox_lo, ox_hi) = in_range(ow, w, kx, s, pad);
+                let out_row = rows.next().expect("one output row per (channel, ky, kx)");
+                let (top, rest) = out_row.split_at_mut(oy_lo * ow);
+                let (span, bottom) = rest.split_at_mut((oy_hi - oy_lo) * ow);
+                top.fill(0.0);
+                bottom.fill(0.0);
+                if span.is_empty() || ox_lo == ox_hi {
+                    span.fill(0.0);
+                    continue;
+                }
+                let n = ox_hi - ox_lo;
+                let src0 = (oy_lo * s + ky - pad) * w + ox_lo * s + kx - pad;
+                if flat {
+                    let len = span.len() - (ow - n);
+                    span[ox_lo..ox_lo + len].copy_from_slice(&plane[src0..src0 + len]);
+                } else {
+                    for (seg, src) in span.chunks_exact_mut(ow).zip(plane[src0..].chunks(s * w)) {
+                        let run = &mut seg[ox_lo..ox_hi];
+                        if s == 1 {
+                            run.copy_from_slice(&src[..n]);
+                        } else {
+                            let src = &src[..(n - 1) * s + 1];
+                            for (i, d) in run.iter_mut().enumerate() {
+                                *d = src[i * s];
+                            }
                         }
-                        col += 1;
+                    }
+                }
+                // Pad columns last: the single span copy ran over them.
+                for col in (0..ox_lo).chain(ox_hi..ow) {
+                    for z in span[col..].iter_mut().step_by(ow) {
+                        *z = 0.0;
                     }
                 }
             }
         }
     }
+}
+
+/// The half-open range of output positions `o < n` whose input index
+/// `o·stride + tap − pad` lands inside `0..len`; empty (`lo == hi`) when
+/// the tap only ever reads padding.
+fn in_range(n: usize, len: usize, tap: usize, stride: usize, pad: usize) -> (usize, usize) {
+    let lo = if pad > tap { (pad - tap).div_ceil(stride) } else { 0 };
+    let hi = if len + pad > tap { ((len + pad - tap - 1) / stride + 1).min(n) } else { 0 };
+    (lo.min(hi), hi)
 }
 
 /// Folds a patch-space gradient (shape `[patch_len, out_h * out_w]`) back
@@ -173,6 +213,66 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The tap-by-tap lowering the run-copy [`im2col_into`] replaced:
+    /// zero the buffer, then bounds-test every tap. Kept as the oracle.
+    fn im2col_reference(image: &[f32], geom: &Conv2dGeometry, out: &mut [f32]) {
+        let (c, h, w) = (geom.in_c, geom.in_h, geom.in_w);
+        let cols = geom.out_spatial();
+        out.fill(0.0);
+        let k = geom.kernel;
+        for ch in 0..c {
+            let ch_base = ch * h * w;
+            for ky in 0..k {
+                for kx in 0..k {
+                    let row = (ch * k + ky) * k + kx;
+                    let out_row = &mut out[row * cols..(row + 1) * cols];
+                    let mut col = 0;
+                    for oy in 0..geom.out_h {
+                        let iy = (oy * geom.stride + ky) as isize - geom.pad as isize;
+                        for ox in 0..geom.out_w {
+                            let ix = (ox * geom.stride + kx) as isize - geom.pad as isize;
+                            if iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize {
+                                out_row[col] = image[ch_base + iy as usize * w + ix as usize];
+                            }
+                            col += 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn im2col_into_matches_tap_by_tap_oracle_bit_for_bit() {
+        // The nn parity suites compare two paths that both lower through
+        // `im2col_into`, so only this sweep can catch a lowering bug. The
+        // NaN pre-fill catches any tap the run writer leaves unwritten.
+        let planes =
+            (1..=3).flat_map(|c| (1..=12).flat_map(move |h| (1..=12).map(move |w| (c, h, w))));
+        let mut checked = 0;
+        for (c, h, w) in planes {
+            let image: Vec<f32> =
+                (0..c * h * w).map(|i| f32::from_bits(0x3f80_0000 + i as u32 * 977)).collect();
+            let taps = (1..=5)
+                .flat_map(|k| (1..=3).flat_map(move |s| (0..=k + 1).map(move |p| (k, s, p))));
+            for (kernel, stride, pad) in taps {
+                if h + 2 * pad < kernel || w + 2 * pad < kernel {
+                    continue;
+                }
+                let g = Conv2dGeometry::new(c, h, w, kernel, stride, pad);
+                let len = g.patch_len() * g.out_spatial();
+                let mut want = vec![0.0f32; len];
+                im2col_reference(&image, &g, &mut want);
+                let mut got = vec![f32::NAN; len];
+                im2col_into(&image, &g, &mut got);
+                let same = want.iter().zip(&got).all(|(a, b)| a.to_bits() == b.to_bits());
+                assert!(same, "im2col_into diverges from the oracle on {g:?}");
+                checked += 1;
+            }
+        }
+        assert!(checked > 10_000, "sweep shrank to {checked} geometries");
+    }
 
     #[test]
     fn geometry_same_padding() {
