@@ -134,9 +134,9 @@ fn autotune_gemm() -> Vec<(GemmTuning, f64)> {
 
 /// Wall-clock comparison of the three dense execution modes at one shape:
 /// full f32, quantize-to-f32 simulation (per-call activation rounding at
-/// `Precision(17)` + full-width GEMM — what `QuantizedNetwork` executes),
-/// and genuinely narrow i8 via [`QuantizedLinear`]. Returns items/s
-/// (batch rows per second) for each.
+/// `Precision(17)` + full-width GEMM — what a RAMR member's precision hook
+/// executes), and genuinely narrow i8 via [`QuantizedLinear`]. Returns
+/// items/s (batch rows per second) for each.
 fn quantized_dense_rates() -> (f64, f64, f64) {
     let (n, in_f, out_f) = GEMM_SHAPE;
     let x = fill(0xC, n * in_f);

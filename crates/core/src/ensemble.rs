@@ -3,6 +3,7 @@
 
 use pgmr_datasets::Dataset;
 use pgmr_faults::ActivationInjector;
+use pgmr_nn::network::ActivationHook;
 use pgmr_nn::zoo::{build, ArchSpec};
 use pgmr_nn::{CheckPlan, Network, TrainConfig, TrainReport, Trainer};
 use pgmr_precision::Precision;
@@ -135,27 +136,11 @@ impl Member {
     /// forward pass.
     // pgmr-lint: boundary(hot-path-alloc): the predict tier returns a fresh per-request probability vector by contract; the zero-alloc invariant governs the forward_into kernels beneath it
     pub fn predict(&mut self, image: &Tensor) -> Vec<f32> {
-        let x = self.preprocessor.apply(image);
-        let classes = self.network.num_classes();
-        let p = self.precision;
-        let fault = self.fault.as_ref();
-        let logits = if fault.is_none() && p == Precision::FULL {
-            self.network.forward(&x, false)
-        } else {
-            if let Some(inj) = fault {
-                inj.begin_forward();
-            }
-            let hook = |d: &mut [f32]| {
-                if let Some(inj) = fault {
-                    inj.apply(d);
-                }
-                if p != Precision::FULL {
-                    p.quantize_slice(d);
-                }
-            };
-            self.network.forward_with_hook(&x, false, &hook)
+        let logits = match self.forward_logits(image, None) {
+            Ok(logits) => logits,
+            Err(_) => unreachable!("an unguarded forward pass verifies nothing"),
         };
-        debug_assert_eq!(logits.len(), classes);
+        debug_assert_eq!(logits.len(), self.network.num_classes());
         pgmr_tensor::softmax(logits.data())
     }
 
@@ -170,8 +155,21 @@ impl Member {
         image: &Tensor,
         tolerance: f32,
     ) -> Result<Vec<f32>, ChecksumFault> {
+        let logits = self.forward_logits(image, Some(self.abft_tolerance(tolerance)))?;
+        Ok(pgmr_tensor::softmax(logits.data()))
+    }
+
+    /// One forward pass of the member on a raw image: preprocess, start the
+    /// injector's pass, then run the network with the fault/precision hook.
+    /// The hook is skipped when there is no injector and precision is full.
+    /// With a guard `tolerance` the pass is ABFT-checked under the member's
+    /// protection plan (full checking when none is set).
+    fn forward_logits(
+        &mut self,
+        image: &Tensor,
+        guard: Option<f32>,
+    ) -> Result<Tensor, ChecksumFault> {
         let x = self.preprocessor.apply(image);
-        let tol = self.abft_tolerance(tolerance);
         let p = self.precision;
         let fault = self.fault.as_ref();
         if let Some(inj) = fault {
@@ -185,14 +183,17 @@ impl Member {
                 p.quantize_slice(d);
             }
         };
-        let needs_hook = fault.is_some() || p != Precision::FULL;
-        let hook_opt: Option<pgmr_nn::network::ActivationHook<'_>> =
-            if needs_hook { Some(&hook) } else { None };
-        let logits = match &self.protection {
-            Some(plan) => self.network.forward_checked_plan(&x, false, hook_opt, tol, plan)?,
-            None => self.network.forward_checked(&x, false, hook_opt, tol)?,
-        };
-        Ok(pgmr_tensor::softmax(logits.data()))
+        let hook: Option<ActivationHook<'_>> =
+            (fault.is_some() || p != Precision::FULL).then_some(&hook);
+        let net = &mut self.network;
+        match (guard, &self.protection) {
+            (None, _) => Ok(match hook {
+                Some(h) => net.forward_with_hook(&x, false, h),
+                None => net.forward(&x, false),
+            }),
+            (Some(tol), Some(plan)) => net.forward_checked_plan(&x, false, hook, tol, plan),
+            (Some(tol), None) => net.forward_checked(&x, false, hook, tol),
+        }
     }
 
     /// Probabilities for a set of raw images, one vector per image.

@@ -341,14 +341,10 @@ impl PolygraphSystem {
     /// input). Members reaching `quarantine_after` strikes, or
     /// `solo_after` consecutive solo disagreements, are quarantined and
     /// the vote threshold re-derived over the surviving ensemble.
-    fn infer_fault_tolerant(&mut self, image: &Tensor) -> StagedDecision {
-        self.infer_fault_tolerant_with(image, None)
-    }
-
-    /// [`PolygraphSystem::infer_fault_tolerant`] with an optional worker
-    /// pool. The guarded forward passes (including their retry loops) are
-    /// independent per member — each owns its network and any attached
-    /// injector — so batch mode runs them concurrently; the outcomes are
+    ///
+    /// With a worker `pool`, the guarded forward passes (including their
+    /// retry loops) run concurrently: they are independent per member —
+    /// each owns its network and any attached injector. The outcomes are
     /// then folded in member order, which reproduces the sequential event
     /// stream and decision exactly.
     fn infer_fault_tolerant_with(
@@ -490,26 +486,10 @@ impl PolygraphSystem {
     /// networks were activated (always the full count without RADE).
     pub fn infer_counted(&mut self, image: &Tensor) -> StagedDecision {
         if self.fault_policy.is_some() {
-            return self.infer_fault_tolerant(image);
+            return self.infer_fault_tolerant_with(image, None);
         }
-        Self::decide_unguarded(
-            self.ensemble.members_mut(),
-            self.staged.as_deref(),
-            self.thresholds,
-            image,
-        )
-    }
-
-    /// One un-guarded (plain or RADE) decision over an explicit member
-    /// slice — the shared core of [`PolygraphSystem::infer_counted`] and
-    /// batch mode, whose shards run it on cloned members.
-    fn decide_unguarded(
-        members: &mut [Member],
-        staged: Option<&StagedEngine>,
-        thresholds: Thresholds,
-        image: &Tensor,
-    ) -> StagedDecision {
-        decide_request(members, staged, thresholds, image, |_| true).decision
+        let (staged, thresholds) = (self.staged.as_deref(), self.thresholds);
+        decide_request(self.ensemble.members_mut(), staged, thresholds, image, |_| true).decision
     }
 
     /// Batch-mode inference over `pool`: classifies every image with
@@ -536,7 +516,7 @@ impl PolygraphSystem {
         if pool.threads() == 1 || images.len() < 2 || injected {
             return images.iter().map(|img| self.infer_counted(img)).collect();
         }
-        let staged = &self.staged;
+        let staged = self.staged.as_deref();
         let thresholds = self.thresholds;
         let jobs: Vec<_> = shard_ranges(images.len(), pool.threads())
             .into_iter()
@@ -546,7 +526,7 @@ impl PolygraphSystem {
                     images[range]
                         .iter()
                         .map(|img| {
-                            Self::decide_unguarded(&mut members, staged.as_deref(), thresholds, img)
+                            decide_request(&mut members, staged, thresholds, img, |_| true).decision
                         })
                         .collect::<Vec<_>>()
                 }

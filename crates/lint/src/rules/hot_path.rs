@@ -5,17 +5,17 @@
 //! roots must not call an allocating constructor (`Vec::new`, `vec!`,
 //! `.to_vec()`, `.collect()`, `Box::new`, `String::from`, `format!`)
 //! outside the workspace-arena APIs. The roots are the serving-path
-//! entries: `Network::forward_into_logits`, the `Layer::forward_into`
-//! family, `decide_request`, and the serve batcher fold
-//! (`BatchEngine::process`).
+//! entries: `Network::forward_into_logits`, every `Layer::forward_into`
+//! (whose `checked` arm derives the ABFT checksums), `decide_request`,
+//! and the serve batcher fold (`BatchEngine::process`).
 //!
 //! The rule's world has a *frontier* past which it neither traverses
 //! nor reports:
 //! - the reference-oracle methods (`forward`, `forward_with_checksum`,
 //!   `backward`, and any `*_reference` shim) — the allocating
-//!   train/verify tier the zero-alloc kernels are checked against; the
-//!   only serving edges into them are flow-insensitive `train`
-//!   fallbacks;
+//!   train/verify tier the zero-alloc kernels are checked against. The
+//!   inference tier has no training fallback, so only name-based
+//!   over-approximate edges lead there;
 //! - the arena file itself ([`EXEMPT_FILES`]) — where the hot path's
 //!   memory legitimately comes from;
 //! - any function annotated `pgmr-lint: boundary(hot-path-alloc):
@@ -35,7 +35,6 @@ pub const RULE: &str = "hot-path-alloc";
 const ROOT_FNS: &[(&str, Option<&str>)] = &[
     ("forward_into_logits", None),
     ("forward_into", None),
-    ("forward_into_with_checksum", None),
     ("decide_request", None),
     ("process", Some("BatchEngine")),
 ];
@@ -167,8 +166,8 @@ mod tests {
 
     #[test]
     fn reference_oracles_sit_past_the_frontier() {
-        // The trait-default forward_into falls back to the allocating
-        // `forward` oracle; the rule must not chase it.
+        // A forward_into that calls the allocating `forward` oracle must
+        // not drag the oracle into the rule's world.
         let diags = run_on(&[(
             "crates/nn/src/layer.rs",
             "trait Layer {\n\

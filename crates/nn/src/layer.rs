@@ -266,7 +266,11 @@ impl OutputChecksum {
 ///
 /// 1. `forward` consumes a batch and caches whatever the backward pass
 ///    needs. `train` distinguishes training-time behavior (e.g. batch-norm
-///    batch statistics) from inference (running statistics).
+///    batch statistics) from inference (running statistics). `forward`
+///    and `forward_with_checksum` are the allocating tier: training and
+///    the reference oracle the inference tier is pinned against.
+///    `forward_into` is the inference tier: it runs on workspace buffers,
+///    has no `train` mode and keeps no backward caches.
 /// 2. `backward` consumes the gradient w.r.t. the layer's output, updates
 ///    the internal parameter gradients, and returns the gradient w.r.t. the
 ///    layer's input. It must be called after `forward` on the same batch.
@@ -290,35 +294,23 @@ pub trait Layer: Send {
         (self.forward(input, train), None)
     }
 
-    /// Workspace forward: runs the layer on the batch held in `input`,
+    /// Inference forward: runs the layer on the batch held in `input`,
     /// returning the output in a buffer from `ws` (or `input` itself for
     /// pass-through layers — the ping-pong scheme). The input buffer is
     /// consumed: implementations must release it to `ws` unless they
-    /// return it. Results are bit-identical to [`Layer::forward`].
+    /// return it. Results are bit-identical to [`Layer::forward`] in
+    /// inference mode, and no backward cache is populated.
     ///
-    /// The default shim routes through the allocating `forward`, keeping
-    /// it the reference implementation; ported layers override this with
-    /// an allocation-free body. Training callers should prefer `forward`
-    /// directly — with `train == true` layers still populate their
-    /// backward caches, which allocate.
-    fn forward_into(&mut self, input: ActBuf, ws: &mut Workspace, train: bool) -> ActBuf {
-        let x = input.to_tensor();
-        ws.release(input);
-        let y = self.forward(&x, train);
-        ws.adopt(y)
-    }
-
-    /// [`Layer::forward_into`] plus ABFT checksum expectations, mirroring
-    /// [`Layer::forward_with_checksum`]. Layers without a guarded GEMM
-    /// core return `None`.
-    fn forward_into_with_checksum(
+    /// With `checked`, layers with a guarded GEMM core (dense and
+    /// convolution) also return ABFT checksum expectations over the
+    /// output, mirroring [`Layer::forward_with_checksum`]; every other
+    /// layer, and every unchecked call, returns `None`.
+    fn forward_into(
         &mut self,
         input: ActBuf,
         ws: &mut Workspace,
-        train: bool,
-    ) -> (ActBuf, Option<OutputChecksum>) {
-        (self.forward_into(input, ws, train), None)
-    }
+        checked: bool,
+    ) -> (ActBuf, Option<OutputChecksum>);
 
     /// Propagates gradients; returns the gradient w.r.t. the forward input.
     ///

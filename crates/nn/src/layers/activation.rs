@@ -1,6 +1,6 @@
 //! Activation layers.
 
-use crate::layer::{Layer, LayerCost, ParamSlot};
+use crate::layer::{Layer, LayerCost, OutputChecksum, ParamSlot};
 use crate::workspace::{ActBuf, Workspace};
 use pgmr_tensor::{relu, relu_backward, Tensor};
 
@@ -25,13 +25,12 @@ impl Layer for Relu {
         relu(input)
     }
 
-    fn forward_into(&mut self, mut input: ActBuf, ws: &mut Workspace, train: bool) -> ActBuf {
-        if train {
-            let x = input.to_tensor();
-            ws.release(input);
-            let y = self.forward(&x, train);
-            return ws.adopt(y);
-        }
+    fn forward_into(
+        &mut self,
+        mut input: ActBuf,
+        _ws: &mut Workspace,
+        _checked: bool,
+    ) -> (ActBuf, Option<OutputChecksum>) {
         // Inference never calls backward: clamp in place (pass-through) and
         // skip the input cache. The cost metadata stays fed either way.
         self.output_elems_per_image = (input.len() / input.dims()[0]) as u64;
@@ -39,7 +38,7 @@ impl Layer for Relu {
         for v in input.data_mut() {
             *v = v.max(0.0);
         }
-        input
+        (input, None)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -93,7 +92,7 @@ mod tests {
         let mut ws = crate::workspace::Workspace::new();
         let mut buf = ws.acquire(&[1, 4]);
         buf.data_mut().copy_from_slice(&[-1., 0., 1., 2.]);
-        let out = layer.forward_into(buf, &mut ws, false);
+        let (out, _) = layer.forward_into(buf, &mut ws, false);
         assert_eq!(out.data(), &[0., 0., 1., 2.]);
         assert!(layer.input_cache.is_none(), "inference must not cache the input");
         assert_eq!(layer.cost().output_elems, 4);

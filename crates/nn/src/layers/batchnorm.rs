@@ -1,6 +1,6 @@
 //! Per-channel batch normalization for NCHW batches.
 
-use crate::layer::{Layer, LayerCost, ParamSlot};
+use crate::layer::{Layer, LayerCost, OutputChecksum, ParamSlot};
 use crate::workspace::{ActBuf, Workspace};
 use pgmr_tensor::Tensor;
 
@@ -128,13 +128,12 @@ impl Layer for BatchNorm2d {
         Tensor::from_vec(vec![n, c, h, w], out)
     }
 
-    fn forward_into(&mut self, mut input: ActBuf, ws: &mut Workspace, train: bool) -> ActBuf {
-        if train {
-            let x = input.to_tensor();
-            ws.release(input);
-            let y = self.forward(&x, train);
-            return ws.adopt(y);
-        }
+    fn forward_into(
+        &mut self,
+        mut input: ActBuf,
+        _ws: &mut Workspace,
+        _checked: bool,
+    ) -> (ActBuf, Option<OutputChecksum>) {
         // Inference normalizes with the running statistics, which depend only
         // on the channel — the transform is elementwise, so it runs in place
         // on the input buffer (pass-through, no second buffer needed).
@@ -156,7 +155,7 @@ impl Layer for BatchNorm2d {
                 }
             }
         }
-        input
+        (input, None)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -297,7 +296,7 @@ mod tests {
         let mut ws = crate::workspace::Workspace::new();
         let mut buf = ws.acquire(&[2, 3, 2, 2]);
         buf.data_mut().copy_from_slice(x.data());
-        let out = bn.forward_into(buf, &mut ws, false);
+        let (out, _) = bn.forward_into(buf, &mut ws, false);
         assert_eq!(out.dims(), expected.shape().dims());
         assert_eq!(out.data(), expected.data(), "workspace path must be bit-identical");
     }

@@ -2,7 +2,7 @@
 //! (DenseNet-style). These give the zoo the two "deep" topologies of the
 //! paper's Table II (ResNet20/ResNet34 and DenseNet40 analogs).
 
-use crate::layer::{Layer, LayerCost, ParamSlot};
+use crate::layer::{Layer, LayerCost, OutputChecksum, ParamSlot};
 use crate::workspace::{ActBuf, Workspace};
 use pgmr_tensor::{relu, relu_backward, Tensor};
 
@@ -117,29 +117,28 @@ impl Layer for Residual {
         out
     }
 
-    fn forward_into(&mut self, input: ActBuf, ws: &mut Workspace, train: bool) -> ActBuf {
-        if train {
-            let x = input.to_tensor();
-            ws.release(input);
-            let y = self.forward(&x, train);
-            return ws.adopt(y);
-        }
+    fn forward_into(
+        &mut self,
+        input: ActBuf,
+        ws: &mut Workspace,
+        _checked: bool,
+    ) -> (ActBuf, Option<OutputChecksum>) {
         // The body consumes a copy; the original buffer feeds the skip path.
         self.sum_cache = None;
         let mut y = ws.acquire(input.dims());
         y.data_mut().copy_from_slice(input.data());
         for layer in &mut self.body {
-            y = layer.forward_into(y, ws, false);
+            y = layer.forward_into(y, ws, false).0;
         }
         let skip = match &mut self.projection {
-            Some(p) => p.forward_into(input, ws, false),
+            Some(p) => p.forward_into(input, ws, false).0,
             None => input,
         };
         for (a, &b) in y.data_mut().iter_mut().zip(skip.data()) {
             *a = (*a + b).max(0.0);
         }
         ws.release(skip);
-        y
+        (y, None)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -268,13 +267,12 @@ impl Layer for DenseBlock {
         features
     }
 
-    fn forward_into(&mut self, input: ActBuf, ws: &mut Workspace, train: bool) -> ActBuf {
-        if train {
-            let x = input.to_tensor();
-            ws.release(input);
-            let y = self.forward(&x, train);
-            return ws.adopt(y);
-        }
+    fn forward_into(
+        &mut self,
+        input: ActBuf,
+        ws: &mut Workspace,
+        _checked: bool,
+    ) -> (ActBuf, Option<OutputChecksum>) {
         let (_, c, _, _) = input.as_nchw();
         assert_eq!(c, self.in_c, "dense block input channel mismatch");
         self.pre_relu_cache.clear();
@@ -283,7 +281,7 @@ impl Layer for DenseBlock {
             // The unit consumes a copy of the running concatenation.
             let mut unit_in = ws.acquire(features.dims());
             unit_in.data_mut().copy_from_slice(features.data());
-            let mut y = unit.forward_into(unit_in, ws, false);
+            let mut y = unit.forward_into(unit_in, ws, false).0;
             for v in y.data_mut() {
                 *v = v.max(0.0);
             }
@@ -303,7 +301,7 @@ impl Layer for DenseBlock {
             ws.release(y);
             features = cat;
         }
-        features
+        (features, None)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -452,7 +450,7 @@ mod tests {
         let expected = res.clone().forward(&x, false);
         let mut buf = ws.acquire(&[2, 3, 4, 4]);
         buf.data_mut().copy_from_slice(x.data());
-        let out = res.forward_into(buf, &mut ws, false);
+        let (out, _) = res.forward_into(buf, &mut ws, false);
         assert_eq!(out.dims(), expected.shape().dims());
         assert_eq!(out.data(), expected.data(), "residual workspace path must be bit-identical");
         ws.release(out);
@@ -465,7 +463,7 @@ mod tests {
         let expected = block.clone().forward(&x, false);
         let mut buf = ws.acquire(&[2, 3, 4, 4]);
         buf.data_mut().copy_from_slice(x.data());
-        let out = block.forward_into(buf, &mut ws, false);
+        let (out, _) = block.forward_into(buf, &mut ws, false);
         assert_eq!(out.dims(), expected.shape().dims());
         assert_eq!(out.data(), expected.data(), "dense block workspace path must be bit-identical");
     }

@@ -61,88 +61,61 @@ impl Conv2d {
         self.out_c
     }
 
-    /// Workspace forward core (inference only): the im2col patch matrix
-    /// lives in the arena's shared scratch, overwritten per image and reused
-    /// across images; the output comes from the arena. Derives per-image ABFT
-    /// expectations inline when `checked` — the inference path keeps no
-    /// `cols_cache` to derive them from afterwards.
-    fn run_into(
-        &mut self,
-        input: ActBuf,
-        ws: &mut Workspace,
-        checked: bool,
-    ) -> (ActBuf, Option<OutputChecksum>) {
-        let (n, c, h, w) = input.as_nchw();
+    fn check_input(&self, c: usize, h: usize, w: usize) {
         assert_eq!(
             (c, h, w),
             (self.geom.in_c, self.geom.in_h, self.geom.in_w),
             "conv2d input shape mismatch"
         );
+    }
+
+    /// The allocating forward behind both [`Layer::forward`] and
+    /// [`Layer::forward_with_checksum`]: one fresh patch matrix and packing
+    /// scratch per call, per-image patches cached for backward when
+    /// `train`, ABFT expectations derived per image when `checked`.
+    fn forward_alloc(
+        &mut self,
+        input: &Tensor,
+        train: bool,
+        checked: bool,
+    ) -> (Tensor, Option<OutputChecksum>) {
+        let (n, c, h, w) = input.shape().as_nchw();
+        self.check_input(c, h, w);
         let spatial = self.geom.out_spatial();
         let patch = self.geom.patch_len();
+        let out_stride = self.out_c * spatial;
+        let mut out = vec![0.0f32; n * out_stride];
         self.cols_cache.clear();
-        let mut out = ws.acquire(&[n, self.out_c, self.geom.out_h, self.geom.out_w]);
-        // pgmr-lint: allow(hot-path-alloc): the unchecked arm builds a capacity-0 Vec — no heap allocation; the checked arm is the ABFT tier
-        let mut segments = if checked { Vec::with_capacity(n) } else { Vec::new() };
-        {
-            let (cols, gemm_scratch) = ws.scratch_with_gemm(patch * spatial);
-            let in_stride = c * h * w;
-            let out_stride = self.out_c * spatial;
-            for i in 0..n {
-                im2col_into(&input.data()[i * in_stride..(i + 1) * in_stride], &self.geom, cols);
-                Self::bias_gemm_into(
-                    self.out_c,
-                    patch,
-                    spatial,
-                    self.weight.value.data(),
-                    self.bias.value.data(),
-                    cols,
-                    &mut out.data_mut()[i * out_stride..(i + 1) * out_stride],
-                    gemm_scratch,
-                );
-                if checked {
-                    segments.push((i * out_stride, self.image_checksums(cols)));
-                }
+        let mut cols = vec![0.0f32; patch * spatial];
+        let mut scratch = GemmScratch::new();
+        let mut segments = Vec::new();
+        for i in 0..n {
+            im2col_into(input.image_view(i), &self.geom, &mut cols);
+            self.image_gemm(&cols, &mut out[i * out_stride..(i + 1) * out_stride], &mut scratch);
+            if checked {
+                segments.push((i * out_stride, self.image_checksums(&cols)));
+            }
+            if train {
+                // Backward consumes the patch matrices; inference must not
+                // retain batch-sized buffers.
+                self.cols_cache.push(cols.clone());
             }
         }
-        ws.release(input);
-        let sums = if checked { Some(OutputChecksum::new(segments)) } else { None };
-        (out, sums)
+        let out = Tensor::from_vec(vec![n, self.out_c, self.geom.out_h, self.geom.out_w], out);
+        (out, checked.then(|| OutputChecksum::new(segments)))
     }
 
     /// Bias-initialized convolution GEMM for one image: every spatial
     /// position of channel `ch` starts at `bias[ch]`, then the filter
-    /// matrix multiplies the patch matrix on top.
-    fn bias_gemm(
-        out_c: usize,
-        patch: usize,
-        spatial: usize,
-        weight: &[f32],
-        bias: &[f32],
-        cols: &[f32],
-        out_img: &mut [f32],
-    ) {
-        let mut scratch = GemmScratch::new();
-        Self::bias_gemm_into(out_c, patch, spatial, weight, bias, cols, out_img, &mut scratch);
-    }
-
-    /// [`Self::bias_gemm`] with caller-owned packing buffers — the
-    /// zero-allocation path; results are bit-identical either way.
-    #[allow(clippy::too_many_arguments)] // GEMM dims + operands + scratch
-    fn bias_gemm_into(
-        out_c: usize,
-        patch: usize,
-        spatial: usize,
-        weight: &[f32],
-        bias: &[f32],
-        cols: &[f32],
-        out_img: &mut [f32],
-        scratch: &mut GemmScratch,
-    ) {
-        for (ch, row) in out_img.chunks_mut(spatial).enumerate() {
-            row.fill(bias[ch]);
+    /// matrix multiplies the patch matrix on top. Results are bit-identical
+    /// for any packing `scratch`.
+    fn image_gemm(&self, cols: &[f32], out_img: &mut [f32], scratch: &mut GemmScratch) {
+        let spatial = self.geom.out_spatial();
+        for (row, &b) in out_img.chunks_mut(spatial).zip(self.bias.value.data()) {
+            row.fill(b);
         }
-        gemm_into(out_c, patch, spatial, weight, cols, out_img, scratch);
+        let (out_c, patch) = (self.out_c, self.geom.patch_len());
+        gemm_into(out_c, patch, spatial, self.weight.value.data(), cols, out_img, scratch);
     }
 
     /// ABFT expectations for one image's bias-initialized GEMM.
@@ -161,35 +134,7 @@ impl Conv2d {
 
 impl Layer for Conv2d {
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let (n, c, h, w) = input.shape().as_nchw();
-        assert_eq!(
-            (c, h, w),
-            (self.geom.in_c, self.geom.in_h, self.geom.in_w),
-            "conv2d input shape mismatch"
-        );
-        let spatial = self.geom.out_spatial();
-        let patch = self.geom.patch_len();
-        let mut out = vec![0.0f32; n * self.out_c * spatial];
-        self.cols_cache.clear();
-        let mut cols = vec![0.0f32; patch * spatial];
-        for i in 0..n {
-            im2col_into(input.image_view(i), &self.geom, &mut cols);
-            Self::bias_gemm(
-                self.out_c,
-                patch,
-                spatial,
-                self.weight.value.data(),
-                self.bias.value.data(),
-                &cols,
-                &mut out[i * self.out_c * spatial..(i + 1) * self.out_c * spatial],
-            );
-            if train {
-                // Backward consumes the patch matrices; inference must not
-                // retain batch-sized buffers.
-                self.cols_cache.push(cols.clone());
-            }
-        }
-        Tensor::from_vec(vec![n, self.out_c, self.geom.out_h, self.geom.out_w], out)
+        self.forward_alloc(input, train, false).0
     }
 
     fn forward_with_checksum(
@@ -197,62 +142,47 @@ impl Layer for Conv2d {
         input: &Tensor,
         train: bool,
     ) -> (Tensor, Option<OutputChecksum>) {
-        let (n, c, h, w) = input.shape().as_nchw();
-        assert_eq!(
-            (c, h, w),
-            (self.geom.in_c, self.geom.in_h, self.geom.in_w),
-            "conv2d input shape mismatch"
-        );
-        let spatial = self.geom.out_spatial();
-        let patch = self.geom.patch_len();
-        let mut out = vec![0.0f32; n * self.out_c * spatial];
-        self.cols_cache.clear();
-        let mut cols = vec![0.0f32; patch * spatial];
-        let mut segments = Vec::with_capacity(n);
-        for i in 0..n {
-            im2col_into(input.image_view(i), &self.geom, &mut cols);
-            Self::bias_gemm(
-                self.out_c,
-                patch,
-                spatial,
-                self.weight.value.data(),
-                self.bias.value.data(),
-                &cols,
-                &mut out[i * self.out_c * spatial..(i + 1) * self.out_c * spatial],
-            );
-            segments.push((i * self.out_c * spatial, self.image_checksums(&cols)));
-            if train {
-                self.cols_cache.push(cols.clone());
-            }
-        }
-        let out = Tensor::from_vec(vec![n, self.out_c, self.geom.out_h, self.geom.out_w], out);
-        (out, Some(OutputChecksum::new(segments)))
+        self.forward_alloc(input, train, true)
     }
 
-    fn forward_into(&mut self, input: ActBuf, ws: &mut Workspace, train: bool) -> ActBuf {
-        if train {
-            let x = input.to_tensor();
-            ws.release(input);
-            let y = self.forward(&x, true);
-            return ws.adopt(y);
-        }
-        let (buf, _) = self.run_into(input, ws, false);
-        buf
-    }
-
-    fn forward_into_with_checksum(
+    /// Inference forward: the im2col patch matrix lives in the arena's
+    /// shared scratch, overwritten per image and reused across images; the
+    /// output comes from the arena. Derives per-image ABFT expectations
+    /// inline when `checked` — the inference path keeps no `cols_cache` to
+    /// derive them from afterwards.
+    fn forward_into(
         &mut self,
         input: ActBuf,
         ws: &mut Workspace,
-        train: bool,
+        checked: bool,
     ) -> (ActBuf, Option<OutputChecksum>) {
-        if train {
-            let x = input.to_tensor();
-            ws.release(input);
-            let (y, sums) = self.forward_with_checksum(&x, true);
-            return (ws.adopt(y), sums);
+        let (n, c, h, w) = input.as_nchw();
+        self.check_input(c, h, w);
+        let spatial = self.geom.out_spatial();
+        let patch = self.geom.patch_len();
+        self.cols_cache.clear();
+        let mut out = ws.acquire(&[n, self.out_c, self.geom.out_h, self.geom.out_w]);
+        // pgmr-lint: allow(hot-path-alloc): the unchecked arm builds a capacity-0 Vec — no heap allocation; the checked arm is the ABFT tier
+        let mut segments = if checked { Vec::with_capacity(n) } else { Vec::new() };
+        {
+            let (cols, gemm_scratch) = ws.scratch_with_gemm(patch * spatial);
+            let in_stride = c * h * w;
+            let out_stride = self.out_c * spatial;
+            for i in 0..n {
+                im2col_into(&input.data()[i * in_stride..(i + 1) * in_stride], &self.geom, cols);
+                self.image_gemm(
+                    cols,
+                    &mut out.data_mut()[i * out_stride..(i + 1) * out_stride],
+                    gemm_scratch,
+                );
+                if checked {
+                    segments.push((i * out_stride, self.image_checksums(cols)));
+                }
+            }
         }
-        self.run_into(input, ws, true)
+        ws.release(input);
+        let sums = if checked { Some(OutputChecksum::new(segments)) } else { None };
+        (out, sums)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -418,7 +348,7 @@ mod tests {
         let mut ws = Workspace::new();
         let mut buf = ws.acquire(x.shape().dims());
         buf.data_mut().copy_from_slice(x.data());
-        let out = conv.forward_into(buf, &mut ws, false);
+        let (out, _) = conv.forward_into(buf, &mut ws, false);
         assert_eq!(out.dims(), reference.shape().dims());
         assert_eq!(out.data(), reference.data());
     }

@@ -42,48 +42,6 @@ impl Dense {
     pub fn out_features(&self) -> usize {
         self.out_features
     }
-
-    /// Workspace forward core: `y = x W^T + b` into an arena buffer, with
-    /// optional ABFT checksums. Skips the backward `input_cache` — the
-    /// workspace path is inference-only.
-    fn run_into(
-        &mut self,
-        input: ActBuf,
-        ws: &mut Workspace,
-        checked: bool,
-    ) -> (ActBuf, Option<OutputChecksum>) {
-        assert_eq!(input.dims().len(), 2, "dense expects [n, features]");
-        let n = input.dims()[0];
-        assert_eq!(input.dims()[1], self.in_features, "dense input feature mismatch");
-        let mut out = ws.acquire(&[n, self.out_features]);
-        for row in out.data_mut().chunks_mut(self.out_features) {
-            row.copy_from_slice(self.bias.value.data());
-        }
-        gemm_a_bt_into(
-            n,
-            self.in_features,
-            self.out_features,
-            input.data(),
-            self.weight.value.data(),
-            out.data_mut(),
-            ws.gemm_scratch(),
-        );
-        let sums = checked.then(|| {
-            let mut sums = GemmChecksums::for_a_bt(
-                n,
-                self.in_features,
-                self.out_features,
-                input.data(),
-                self.weight.value.data(),
-            );
-            sums.add_broadcast_row(self.bias.value.data());
-            // pgmr-lint: allow(hot-path-alloc): inside the `checked.then` ABFT arm — runs only for guarded passes, never on the unguarded serving path
-            OutputChecksum::new(vec![(0, sums)])
-        });
-        self.input_cache = None;
-        ws.release(input);
-        (out, sums)
-    }
 }
 
 impl Layer for Dense {
@@ -126,29 +84,45 @@ impl Layer for Dense {
         (out, Some(OutputChecksum::new(vec![(0, sums)])))
     }
 
-    fn forward_into(&mut self, input: ActBuf, ws: &mut Workspace, train: bool) -> ActBuf {
-        if train {
-            let x = input.to_tensor();
-            ws.release(input);
-            let y = self.forward(&x, train);
-            return ws.adopt(y);
-        }
-        self.run_into(input, ws, false).0
-    }
-
-    fn forward_into_with_checksum(
+    /// Inference forward: `y = x W^T + b` into an arena buffer, with
+    /// optional ABFT checksums. Skips the backward `input_cache`.
+    fn forward_into(
         &mut self,
         input: ActBuf,
         ws: &mut Workspace,
-        train: bool,
+        checked: bool,
     ) -> (ActBuf, Option<OutputChecksum>) {
-        if train {
-            let x = input.to_tensor();
-            ws.release(input);
-            let (y, sums) = self.forward_with_checksum(&x, train);
-            return (ws.adopt(y), sums);
+        assert_eq!(input.dims().len(), 2, "dense expects [n, features]");
+        let n = input.dims()[0];
+        assert_eq!(input.dims()[1], self.in_features, "dense input feature mismatch");
+        let mut out = ws.acquire(&[n, self.out_features]);
+        for row in out.data_mut().chunks_mut(self.out_features) {
+            row.copy_from_slice(self.bias.value.data());
         }
-        self.run_into(input, ws, true)
+        gemm_a_bt_into(
+            n,
+            self.in_features,
+            self.out_features,
+            input.data(),
+            self.weight.value.data(),
+            out.data_mut(),
+            ws.gemm_scratch(),
+        );
+        let sums = checked.then(|| {
+            let mut sums = GemmChecksums::for_a_bt(
+                n,
+                self.in_features,
+                self.out_features,
+                input.data(),
+                self.weight.value.data(),
+            );
+            sums.add_broadcast_row(self.bias.value.data());
+            // pgmr-lint: allow(hot-path-alloc): inside the `checked.then` ABFT arm — runs only for guarded passes, never on the unguarded serving path
+            OutputChecksum::new(vec![(0, sums)])
+        });
+        self.input_cache = None;
+        ws.release(input);
+        (out, sums)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -269,7 +243,7 @@ mod tests {
         let mut ws = crate::workspace::Workspace::new();
         let mut buf = ws.acquire(&[3, 5]);
         buf.data_mut().copy_from_slice(x.data());
-        let (out, sums) = dense.forward_into_with_checksum(buf, &mut ws, false);
+        let (out, sums) = dense.forward_into(buf, &mut ws, true);
         assert_eq!(out.dims(), expected.shape().dims());
         assert_eq!(out.data(), expected.data(), "workspace path must be bit-identical");
         sums.expect("dense emits checksums").verify(out.data(), 1e-4).unwrap();

@@ -8,7 +8,7 @@
 //! work) needs: several stochastic forward passes approximate the
 //! predictive distribution.
 
-use crate::layer::{Layer, LayerCost, ParamSlot};
+use crate::layer::{Layer, LayerCost, OutputChecksum, ParamSlot};
 use crate::workspace::{ActBuf, Workspace};
 use pgmr_tensor::Tensor;
 use rand::rngs::StdRng;
@@ -69,17 +69,16 @@ impl Layer for Dropout {
         out
     }
 
-    fn forward_into(&mut self, mut input: ActBuf, ws: &mut Workspace, train: bool) -> ActBuf {
-        if train {
-            let x = input.to_tensor();
-            ws.release(input);
-            let y = self.forward(&x, train);
-            return ws.adopt(y);
-        }
+    fn forward_into(
+        &mut self,
+        mut input: ActBuf,
+        _ws: &mut Workspace,
+        _checked: bool,
+    ) -> (ActBuf, Option<OutputChecksum>) {
         // pgmr-lint: allow(float-eq): p == 0.0 is the exact no-op configuration, not an arithmetic result
         if !self.mc_mode || self.p == 0.0 {
             self.mask_cache = None;
-            return input;
+            return (input, None);
         }
         // MC inference: draw the mask in the same RNG order as `forward`
         // and apply it in place; backward is never called, so the mask
@@ -90,7 +89,7 @@ impl Layer for Dropout {
             let m = if self.rng.gen::<f32>() < self.p { 0.0 } else { 1.0 / keep };
             *v *= m;
         }
-        input
+        (input, None)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -166,7 +165,7 @@ mod tests {
         let mut ws = crate::workspace::Workspace::new();
         let mut buf = ws.acquire(&[1, 64]);
         buf.data_mut().copy_from_slice(x.data());
-        let out = probe.forward_into(buf, &mut ws, false);
+        let (out, _) = probe.forward_into(buf, &mut ws, false);
         assert_eq!(out.data(), expected.data(), "RNG draw order must match the allocating path");
     }
 
@@ -176,7 +175,7 @@ mod tests {
         let mut ws = crate::workspace::Workspace::new();
         let mut buf = ws.acquire(&[1, 8]);
         buf.data_mut().fill(2.0);
-        let out = d.forward_into(buf, &mut ws, false);
+        let (out, _) = d.forward_into(buf, &mut ws, false);
         // pgmr-lint: allow(float-eq): identity pass-through must preserve the exact seed value
         assert!(out.data().iter().all(|&v| v == 2.0));
     }

@@ -1,6 +1,6 @@
 //! Shape adapter between convolutional and dense stages.
 
-use crate::layer::{Layer, LayerCost, ParamSlot};
+use crate::layer::{Layer, LayerCost, OutputChecksum, ParamSlot};
 use crate::workspace::{ActBuf, Workspace};
 use pgmr_tensor::Tensor;
 
@@ -27,7 +27,12 @@ impl Layer for Flatten {
         input.reshape(vec![n, rest])
     }
 
-    fn forward_into(&mut self, mut input: ActBuf, _ws: &mut Workspace, _train: bool) -> ActBuf {
+    fn forward_into(
+        &mut self,
+        mut input: ActBuf,
+        _ws: &mut Workspace,
+        _checked: bool,
+    ) -> (ActBuf, Option<OutputChecksum>) {
         let dims = input.dims();
         assert!(dims.len() >= 2, "flatten expects a batched tensor");
         let n = dims[0];
@@ -41,7 +46,7 @@ impl Layer for Flatten {
             None => self.input_dims = Some(input.dims().to_vec()),
         }
         input.set_dims(&[n, rest]);
-        input
+        (input, None)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {

@@ -1,6 +1,6 @@
 //! Parallel multi-branch layers (GoogLeNet/Inception-style blocks).
 
-use crate::layer::{Layer, LayerCost, ParamSlot};
+use crate::layer::{Layer, LayerCost, OutputChecksum, ParamSlot};
 use crate::workspace::{ActBuf, Workspace};
 use pgmr_tensor::Tensor;
 
@@ -66,20 +66,19 @@ impl Layer for Parallel {
         concat_channels(&refs)
     }
 
-    fn forward_into(&mut self, input: ActBuf, ws: &mut Workspace, train: bool) -> ActBuf {
-        if train {
-            let x = input.to_tensor();
-            ws.release(input);
-            let y = self.forward(&x, train);
-            return ws.adopt(y);
-        }
+    fn forward_into(
+        &mut self,
+        input: ActBuf,
+        ws: &mut Workspace,
+        _checked: bool,
+    ) -> (ActBuf, Option<OutputChecksum>) {
         self.branch_channels.clear();
         let mut outs = std::mem::take(&mut self.branch_outs);
         for branch in &mut self.branches {
             let mut y = ws.acquire(input.dims());
             y.data_mut().copy_from_slice(input.data());
             for layer in branch.iter_mut() {
-                y = layer.forward_into(y, ws, false);
+                y = layer.forward_into(y, ws, false).0;
             }
             let (_, c, _, _) = y.as_nchw();
             self.branch_channels.push(c);
@@ -111,7 +110,7 @@ impl Layer for Parallel {
             ws.release(t);
         }
         self.branch_outs = outs;
-        cat
+        (cat, None)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -288,7 +287,7 @@ mod tests {
         let mut ws = crate::workspace::Workspace::new();
         let mut buf = ws.acquire(&[2, 2, 5, 5]);
         buf.data_mut().copy_from_slice(x.data());
-        let out = p.forward_into(buf, &mut ws, false);
+        let (out, _) = p.forward_into(buf, &mut ws, false);
         assert_eq!(out.dims(), expected.shape().dims());
         assert_eq!(out.data(), expected.data(), "parallel workspace path must be bit-identical");
         assert!(p.branch_outs.is_empty(), "branch buffers must drain back to the arena");

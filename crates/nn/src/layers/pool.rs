@@ -1,6 +1,6 @@
 //! Pooling layers.
 
-use crate::layer::{Layer, LayerCost, ParamSlot};
+use crate::layer::{Layer, LayerCost, OutputChecksum, ParamSlot};
 use crate::workspace::{ActBuf, Workspace};
 use pgmr_tensor::Tensor;
 
@@ -82,13 +82,12 @@ impl Layer for MaxPool2d {
         Tensor::from_vec(vec![n, c, oh, ow], out)
     }
 
-    fn forward_into(&mut self, input: ActBuf, ws: &mut Workspace, train: bool) -> ActBuf {
-        if train {
-            let x = input.to_tensor();
-            ws.release(input);
-            let y = self.forward(&x, train);
-            return ws.adopt(y);
-        }
+    fn forward_into(
+        &mut self,
+        input: ActBuf,
+        ws: &mut Workspace,
+        _checked: bool,
+    ) -> (ActBuf, Option<OutputChecksum>) {
         let (n, c, h, w) = input.as_nchw();
         let k = self.window;
         assert!(h >= k && w >= k, "pool window {k} larger than spatial dims {h}x{w}");
@@ -124,7 +123,7 @@ impl Layer for MaxPool2d {
         record_shape(&mut self.input_shape, [n, c, h, w]);
         self.output_elems_per_image = (c * oh * ow) as u64;
         ws.release(input);
-        out
+        (out, None)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -189,13 +188,12 @@ impl Layer for AvgPoolGlobal {
         Tensor::from_vec(vec![n, c], out)
     }
 
-    fn forward_into(&mut self, input: ActBuf, ws: &mut Workspace, train: bool) -> ActBuf {
-        if train {
-            let x = input.to_tensor();
-            ws.release(input);
-            let y = self.forward(&x, train);
-            return ws.adopt(y);
-        }
+    fn forward_into(
+        &mut self,
+        input: ActBuf,
+        ws: &mut Workspace,
+        _checked: bool,
+    ) -> (ActBuf, Option<OutputChecksum>) {
         let (n, c, h, w) = input.as_nchw();
         let plane = h * w;
         let mut out = ws.acquire(&[n, c]);
@@ -209,7 +207,7 @@ impl Layer for AvgPoolGlobal {
         }
         record_shape(&mut self.input_shape, [n, c, h, w]);
         ws.release(input);
-        out
+        (out, None)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -302,7 +300,7 @@ mod tests {
         let expected = pool.clone().forward(&x, false);
         let mut buf = ws.acquire(&[1, 1, 4, 4]);
         buf.data_mut().copy_from_slice(x.data());
-        let out = pool.forward_into(buf, &mut ws, false);
+        let (out, _) = pool.forward_into(buf, &mut ws, false);
         assert_eq!(out.dims(), expected.shape().dims());
         assert_eq!(out.data(), expected.data());
         assert!(pool.argmax_cache.is_empty(), "inference must not build argmax routing");
@@ -312,7 +310,7 @@ mod tests {
         let expected = gap.clone().forward(&x, false);
         let mut buf = ws.acquire(&[1, 1, 4, 4]);
         buf.data_mut().copy_from_slice(x.data());
-        let out = gap.forward_into(buf, &mut ws, false);
+        let (out, _) = gap.forward_into(buf, &mut ws, false);
         assert_eq!(out.dims(), expected.shape().dims());
         assert_eq!(out.data(), expected.data());
     }

@@ -28,8 +28,8 @@
 //! * [`zoo`] — the six benchmark architectures of the paper's Table II,
 //!   scaled to this repository's synthetic datasets,
 //! * [`workspace`] — the reusable inference arena behind the
-//!   zero-allocation `forward_into` layer family (one per thread, reused
-//!   across members and batches),
+//!   inference-only, zero-allocation `Layer::forward_into` (one per
+//!   thread, reused across members and batches),
 //! * [`serialize`] — a versioned binary parameter codec,
 //! * [`store`] — the process-wide model store: digest-verified weight
 //!   arenas shared read-only across tenants (owned↔shared `ParamSlot`

@@ -2,7 +2,7 @@
 
 use crate::layer::{Layer, LayerCost, ParamSlot};
 use crate::protect::CheckPlan;
-use crate::workspace::{with_thread_workspace, ActBuf, Workspace};
+use crate::workspace::{with_thread_workspace, ActBuf};
 use pgmr_tensor::checksum::{ChecksumFault, ChecksumKind};
 use pgmr_tensor::{softmax, Tensor};
 
@@ -89,55 +89,16 @@ impl Network {
     /// activation arena across calls. The two are bit-identical.
     pub fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
         if train {
-            return self.forward_reference(input, train);
+            return unguarded(self.run_alloc(input, train, None, None));
         }
-        with_thread_workspace(|ws| {
-            let out = self.forward_ws(input, ws, None);
-            let t = out.to_tensor();
-            ws.release(out);
-            ws.report_peak();
-            t
-        })
+        unguarded(self.run_ws(input, None, None, ActBuf::to_tensor))
     }
 
     /// Reference allocating forward pass. Inference callers normally go
     /// through [`Network::forward`]; this variant exists as the semantic
     /// baseline the workspace path is pinned against in the parity tests.
     pub fn forward_reference(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut x = input.clone();
-        for layer in &mut self.layers {
-            x = layer.forward(&x, train);
-        }
-        assert_eq!(
-            x.shape().dims().last(),
-            Some(&self.num_classes),
-            "head produced wrong class count"
-        );
-        x
-    }
-
-    /// Workspace forward core: input copied into an arena buffer, then
-    /// ping-ponged through every layer. The optional `hook` runs on the
-    /// input and after every layer.
-    fn forward_ws(
-        &mut self,
-        input: &Tensor,
-        ws: &mut Workspace,
-        hook: Option<ActivationHook<'_>>,
-    ) -> ActBuf {
-        let mut x = ws.acquire(input.shape().dims());
-        x.data_mut().copy_from_slice(input.data());
-        if let Some(h) = hook {
-            h(x.data_mut());
-        }
-        for layer in &mut self.layers {
-            x = layer.forward_into(x, ws, false);
-            if let Some(h) = hook {
-                h(x.data_mut());
-            }
-        }
-        assert_eq!(x.dims().last(), Some(&self.num_classes), "head produced wrong class count");
-        x
+        unguarded(self.run_alloc(input, train, None, None))
     }
 
     /// Zero-allocation inference: runs the workspace forward pass and
@@ -146,13 +107,10 @@ impl Network {
     /// heap traffic). This is the entry point the throughput bench's
     /// allocations-per-image gauge measures.
     pub fn forward_into_logits(&mut self, input: &Tensor, out: &mut Vec<f32>) {
-        with_thread_workspace(|ws| {
-            let logits = self.forward_ws(input, ws, None);
+        unguarded(self.run_ws(input, None, None, |logits| {
             out.clear();
             out.extend_from_slice(logits.data());
-            ws.release(logits);
-            ws.report_peak();
-        });
+        }));
     }
 
     /// Forward pass with an activation hook applied to the input and to the
@@ -166,15 +124,9 @@ impl Network {
         hook: &dyn Fn(&mut [f32]),
     ) -> Tensor {
         if train {
-            return self.forward_with_hook_reference(input, train, hook);
+            return unguarded(self.run_alloc(input, train, Some(hook), None));
         }
-        with_thread_workspace(|ws| {
-            let out = self.forward_ws(input, ws, Some(hook));
-            let t = out.to_tensor();
-            ws.release(out);
-            ws.report_peak();
-            t
-        })
+        unguarded(self.run_ws(input, Some(hook), None, ActBuf::to_tensor))
     }
 
     /// Reference allocating variant of [`Network::forward_with_hook`].
@@ -184,13 +136,7 @@ impl Network {
         train: bool,
         hook: &dyn Fn(&mut [f32]),
     ) -> Tensor {
-        let mut x = input.clone();
-        hook(x.data_mut());
-        for layer in &mut self.layers {
-            x = layer.forward(&x, train);
-            hook(x.data_mut());
-        }
-        x
+        unguarded(self.run_alloc(input, train, Some(hook), None))
     }
 
     /// ABFT-guarded forward pass: every dense/convolution output is
@@ -263,60 +209,9 @@ impl Network {
         plan: &CheckPlan,
     ) -> Result<Tensor, ChecksumFault> {
         if train {
-            return self.forward_checked_plan_reference(input, train, hook, tolerance, plan);
+            return self.run_alloc(input, train, hook, Some((plan, tolerance)));
         }
-        self.assert_plan(plan);
-        let mut tally = ProtectTally::default();
-        let result = with_thread_workspace(|ws| {
-            let mut x = ws.acquire(input.shape().dims());
-            x.data_mut().copy_from_slice(input.data());
-            if let Some(h) = hook {
-                h(x.data_mut());
-            }
-            for (i, layer) in self.layers.iter_mut().enumerate() {
-                tally.record(layer.as_ref(), plan, i);
-                let copy = if plan.duplicates(i) {
-                    let mut c = ws.acquire(x.dims());
-                    c.data_mut().copy_from_slice(x.data());
-                    Some(c)
-                } else {
-                    None
-                };
-                let (mut y, sums) = if plan.checks(i) {
-                    layer.forward_into_with_checksum(x, ws, false)
-                } else {
-                    (layer.forward_into(x, ws, false), None)
-                };
-                if let Some(h) = hook {
-                    h(y.data_mut());
-                }
-                if let Some(c) = copy {
-                    let y2 = layer.forward_into(c, ws, false);
-                    let verdict = compare_duplicate(y.data(), y2.data(), tolerance);
-                    ws.release(y2);
-                    if let Err(fault) = verdict {
-                        ws.release(y);
-                        ws.report_peak();
-                        return Err(fault);
-                    }
-                }
-                if let Some(sums) = sums {
-                    if let Err(fault) = sums.verify(y.data(), tolerance) {
-                        ws.release(y);
-                        ws.report_peak();
-                        return Err(fault);
-                    }
-                }
-                x = y;
-            }
-            assert_eq!(x.dims().last(), Some(&self.num_classes), "head produced wrong class count");
-            let t = x.to_tensor();
-            ws.release(x);
-            ws.report_peak();
-            Ok(t)
-        });
-        tally.flush();
-        result
+        self.run_ws(input, hook, Some((plan, tolerance)), ActBuf::to_tensor)
     }
 
     /// Reference allocating variant of [`Network::forward_checked_plan`].
@@ -328,7 +223,86 @@ impl Network {
         tolerance: f32,
         plan: &CheckPlan,
     ) -> Result<Tensor, ChecksumFault> {
-        self.assert_plan(plan);
+        self.run_alloc(input, train, hook, Some((plan, tolerance)))
+    }
+
+    /// The workspace forward driver behind every inference entry point:
+    /// `input` is copied into this thread's arena and ping-ponged through
+    /// every layer's [`Layer::forward_into`]; `finish` reads the logits
+    /// before their buffer returns to the arena.
+    ///
+    /// The optional `hook` runs on the input and after every layer, before
+    /// that layer is verified, and never on a duplicate recompute. Under a
+    /// `guard`, the plan's checked layers are verified against their
+    /// checksums and its duplicated layer is recomputed from a pristine
+    /// copy of its input; the first violation releases the live buffers
+    /// and returns. Only guarded passes record protection counters.
+    fn run_ws<R>(
+        &mut self,
+        input: &Tensor,
+        hook: Option<ActivationHook<'_>>,
+        guard: Option<(&CheckPlan, f32)>,
+        finish: impl FnOnce(&ActBuf) -> R,
+    ) -> Result<R, ChecksumFault> {
+        self.assert_guard(guard);
+        let tolerance = guard.map_or(0.0, |(_, t)| t);
+        let mut tally = ProtectTally::default();
+        let result = with_thread_workspace(|ws| {
+            let mut x = ws.acquire(input.shape().dims());
+            x.data_mut().copy_from_slice(input.data());
+            if let Some(h) = hook {
+                h(x.data_mut());
+            }
+            for (i, layer) in self.layers.iter_mut().enumerate() {
+                let (checks, duplicates) = tally.layer_checks(guard, layer.as_ref(), i);
+                let copy = duplicates.then(|| {
+                    let mut c = ws.acquire(x.dims());
+                    c.data_mut().copy_from_slice(x.data());
+                    c
+                });
+                let (mut y, sums) = layer.forward_into(x, ws, checks);
+                if let Some(h) = hook {
+                    h(y.data_mut());
+                }
+                let mut verdict = Ok(());
+                if let Some(c) = copy {
+                    let (y2, _) = layer.forward_into(c, ws, false);
+                    verdict = compare_duplicate(y.data(), y2.data(), tolerance);
+                    ws.release(y2);
+                }
+                if let (Ok(()), Some(sums)) = (&verdict, sums) {
+                    verdict = sums.verify(y.data(), tolerance);
+                }
+                if let Err(fault) = verdict {
+                    ws.release(y);
+                    ws.report_peak();
+                    return Err(fault);
+                }
+                x = y;
+            }
+            assert_eq!(x.dims().last(), Some(&self.num_classes), "head produced wrong class count");
+            let out = finish(&x);
+            ws.release(x);
+            ws.report_peak();
+            Ok(out)
+        });
+        tally.flush();
+        result
+    }
+
+    /// The allocating twin of [`Network::run_ws`]: the same hook placement,
+    /// guard semantics and protection accounting over [`Layer::forward`] /
+    /// [`Layer::forward_with_checksum`] — the training path and the
+    /// reference oracle the workspace driver is pinned against.
+    fn run_alloc(
+        &mut self,
+        input: &Tensor,
+        train: bool,
+        hook: Option<ActivationHook<'_>>,
+        guard: Option<(&CheckPlan, f32)>,
+    ) -> Result<Tensor, ChecksumFault> {
+        self.assert_guard(guard);
+        let tolerance = guard.map_or(0.0, |(_, t)| t);
         let mut tally = ProtectTally::default();
         let result = (|| {
             let mut x = input.clone();
@@ -336,9 +310,9 @@ impl Network {
                 h(x.data_mut());
             }
             for (i, layer) in self.layers.iter_mut().enumerate() {
-                tally.record(layer.as_ref(), plan, i);
-                let copy = if plan.duplicates(i) { Some(x.clone()) } else { None };
-                let (mut y, sums) = if plan.checks(i) {
+                let (checks, duplicates) = tally.layer_checks(guard, layer.as_ref(), i);
+                let copy = duplicates.then(|| x.clone());
+                let (mut y, sums) = if checks {
                     layer.forward_with_checksum(&x, train)
                 } else {
                     (layer.forward(&x, train), None)
@@ -358,13 +332,19 @@ impl Network {
                 }
                 x = y;
             }
+            assert_eq!(
+                x.shape().dims().last(),
+                Some(&self.num_classes),
+                "head produced wrong class count"
+            );
             Ok(x)
         })();
         tally.flush();
         result
     }
 
-    fn assert_plan(&self, plan: &CheckPlan) {
+    fn assert_guard(&self, guard: Option<(&CheckPlan, f32)>) {
+        let Some((plan, _)) = guard else { return };
         assert_eq!(
             plan.num_layers(),
             self.layers.len(),
@@ -484,7 +464,16 @@ struct ProtectTally {
 }
 
 impl ProtectTally {
-    fn record(&mut self, layer: &dyn Layer, plan: &CheckPlan, i: usize) {
+    /// What the guard asks of layer `i` — `(verify checksums, duplicate)` —
+    /// counted into the tally. Unguarded passes ask nothing and count
+    /// nothing.
+    fn layer_checks(
+        &mut self,
+        guard: Option<(&CheckPlan, f32)>,
+        layer: &dyn Layer,
+        i: usize,
+    ) -> (bool, bool) {
+        let Some((plan, _)) = guard else { return (false, false) };
         let kind = layer.cost().kind;
         if kind == "dense" || kind == "conv2d" {
             if plan.checks(i) {
@@ -496,6 +485,7 @@ impl ProtectTally {
         if plan.duplicates(i) {
             self.duplicated += 1;
         }
+        (plan.checks(i), plan.duplicates(i))
     }
 
     fn flush(&self) {
@@ -510,6 +500,12 @@ impl ProtectTally {
             obs.counter("dup.exec_total").add(self.duplicated);
         }
     }
+}
+
+/// Unwraps the result of an unguarded pass, which verifies nothing and so
+/// cannot fault.
+fn unguarded<T>(result: Result<T, ChecksumFault>) -> T {
+    result.unwrap_or_else(|_| unreachable!("an unguarded forward pass verifies nothing"))
 }
 
 /// Element-wise comparison of a canonical layer output against its

@@ -27,9 +27,10 @@
 //!
 //! Every thread gets its own arena via [`with_thread_workspace`]; worker
 //! pool threads ([`crate::pool::WorkerPool`]) are persistent, so one
-//! workspace per worker is reused across members and batches. Training
-//! stays on the allocating path — backward passes need the per-call
-//! caches it populates.
+//! workspace per worker is reused across members and batches.
+//! `forward_into` is inference-only: it has no training mode, so training
+//! never touches a workspace and stays on the allocating `Layer::forward`
+//! path, whose per-call caches backward passes need.
 
 use pgmr_tensor::gemm::GemmScratch;
 use pgmr_tensor::Tensor;
@@ -98,8 +99,9 @@ impl ActBuf {
         (self.dims[0], self.dims[1], self.dims[2], self.dims[3])
     }
 
-    /// Allocating copy into a [`Tensor`] (reference-path shims and final
-    /// outputs; not used on the zero-allocation path).
+    /// Allocating copy into a [`Tensor`]: the final output of the
+    /// tensor-returning `Network` entry points. Never called between
+    /// layers, and not on the zero-allocation path.
     pub fn to_tensor(&self) -> Tensor {
         Tensor::from_vec(self.dims.clone(), self.data.clone())
     }
@@ -115,8 +117,10 @@ pub struct WorkspaceStats {
     pub grows: u64,
 }
 
-/// A reusable arena of activation buffers and im2col scratch. See the
-/// module docs for the ownership scheme.
+/// A reusable arena of activation buffers and im2col scratch for the
+/// inference tier. Every buffer it hands out comes from its own free list
+/// or scratch; nothing allocated elsewhere enters it. See the module docs
+/// for the ownership scheme.
 #[derive(Debug, Default)]
 pub struct Workspace {
     free: Vec<ActBuf>,
@@ -168,18 +172,6 @@ impl Workspace {
         self.in_use_bytes =
             self.in_use_bytes.saturating_sub(buf.data.len() * std::mem::size_of::<f32>());
         self.free.push(buf);
-    }
-
-    /// Wraps an externally allocated tensor as an [`ActBuf`] (default
-    /// `forward_into` shim). Counts as a growth event: the storage did not
-    /// come from the arena.
-    pub fn adopt(&mut self, t: Tensor) -> ActBuf {
-        self.grows += 1;
-        let dims = t.shape().dims().to_vec();
-        let data = t.into_data();
-        self.in_use_bytes += data.len() * std::mem::size_of::<f32>();
-        self.note_usage();
-        ActBuf { data, dims }
     }
 
     /// The shared im2col scratch buffer, resized (capacity only grows) to

@@ -180,6 +180,24 @@ fn selective_protection_metrics_are_deterministic() {
 }
 
 #[test]
+fn unguarded_evaluate_records_no_protection_counters() {
+    let _guard = exclusive_registry();
+    // Guarded and unguarded inference share one forward driver; only a
+    // guarded pass may account for checked, skipped or duplicated layers.
+    let (mut system, data) = fresh_system();
+    obs::global().reset();
+    system.evaluate(&data);
+    let snap = obs::global().snapshot();
+    let m0 = snap.histogram("infer.forward_ns.m0").expect("member-0 latency histogram");
+    assert_eq!(m0.count as usize, data.len(), "every input runs member 0");
+    // `reset` zeroes series but keeps their names, so a series another
+    // test in this binary created may be present — it must still read 0.
+    for name in ["abft.checked_total", "abft.skipped_total", "dup.exec_total"] {
+        assert_eq!(snap.counter(name).unwrap_or(0), 0, "unguarded pass recorded {name}");
+    }
+}
+
+#[test]
 fn concurrent_increments_through_global_pool_are_lossless() {
     let _guard = exclusive_registry();
     let pool = pgmr::nn::pool::global();
