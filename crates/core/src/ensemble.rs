@@ -150,6 +150,7 @@ impl Member {
     /// guarded activation returns a [`ChecksumFault`] instead of silently
     /// propagating. `tolerance` is widened via [`Member::abft_tolerance`]
     /// when the member runs at reduced precision.
+    // pgmr-lint: boundary(hot-path-alloc): the guarded predict tier returns a fresh per-request probability vector by contract, like `predict`; only requests under a fault policy reach it, never the unguarded path
     pub fn predict_checked(
         &mut self,
         image: &Tensor,
@@ -255,21 +256,6 @@ impl Ensemble {
         self.members.push(member);
     }
 
-    /// Per-member softmax vectors for one image: `out[m]` is member `m`'s
-    /// probability vector.
-    // pgmr-lint: boundary(hot-path-alloc): per-request marshalling of member probability vectors is the predict tier's contract
-    pub fn predict(&mut self, image: &Tensor) -> Vec<Vec<f32>> {
-        self.members.iter_mut().map(|m| m.predict(image)).collect()
-    }
-
-    /// Per-member probabilities over a whole image set:
-    /// `out[m][i]` is member `m`'s vector for image `i`. Experiment
-    /// harnesses precompute this once and evaluate many threshold settings
-    /// against it.
-    pub fn predict_dataset(&mut self, images: &[Tensor]) -> Vec<Vec<Vec<f32>>> {
-        self.members.iter_mut().map(|m| m.predict_all(images)).collect()
-    }
-
     /// Switches every member to the given precision (RAMR).
     pub fn set_precision(&mut self, precision: Precision) {
         for m in &mut self.members {
@@ -349,7 +335,8 @@ mod tests {
         let (b, _) = Member::train(Preprocessor::FlipX, &spec, &data, &train, 2);
         let mut ens = Ensemble::new(vec![a, b]);
         assert_eq!(ens.len(), 2);
-        let per_member = ens.predict_dataset(&data.images()[..5]);
+        let per_member: Vec<Vec<Vec<f32>>> =
+            ens.members_mut().iter_mut().map(|m| m.predict_all(&data.images()[..5])).collect();
         assert_eq!(per_member.len(), 2);
         assert_eq!(per_member[0].len(), 5);
         assert_eq!(per_member[0][0].len(), 10);

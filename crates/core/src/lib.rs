@@ -73,7 +73,9 @@ pub mod system;
 
 pub use decision::{DecisionEngine, Thresholds, Verdict};
 pub use ensemble::{Ensemble, Member};
-pub use system::{decide_request, FaultEvent, FaultPolicy, PolygraphSystem, QuarantineReason};
+pub use system::{
+    decide_request, FaultEvent, FaultPolicy, PolygraphSystem, QuarantineReason, RequestEngine,
+};
 
 /// Convenient glob-import surface for examples and harnesses.
 pub mod prelude {
@@ -91,6 +93,6 @@ pub mod prelude {
     pub use crate::stream;
     pub use crate::suite;
     pub use crate::system::{
-        decide_request, FaultEvent, FaultPolicy, PolygraphSystem, QuarantineReason,
+        decide_request, FaultEvent, FaultPolicy, PolygraphSystem, QuarantineReason, RequestEngine,
     };
 }

@@ -214,6 +214,7 @@ impl ReliabilityMonitor {
         self.quarantines += 1;
         let obs = pgmr_obs::global();
         obs.counter("monitor.quarantines_total").inc();
+        // pgmr-lint: allow(hot-path-alloc): fires only on a quarantine, which only a guarded request's fold produces
         obs.emit("monitor.quarantine", format!("member={member} seen={}", self.total_seen));
         self.degraded = true;
     }

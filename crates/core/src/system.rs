@@ -1,8 +1,10 @@
 //! The assembled PolygraphMR system: ensemble + decision engine, with an
-//! optional staged (RADE) inference mode.
+//! optional staged (RADE) inference mode and ABFT fault policy, and the one
+//! request engine every inference path runs.
 
 use crate::decision::{DecisionEngine, Thresholds, Verdict};
 use crate::ensemble::{Ensemble, Member};
+use crate::evaluate::outcomes;
 use crate::rade::{BudgetedDecision, StagedDecision, StagedEngine};
 use crate::stream::ReliabilityMonitor;
 use pgmr_datasets::Dataset;
@@ -123,15 +125,35 @@ pub enum FaultEvent {
     },
 }
 
-/// A deployable PolygraphMR system (Fig. 4): Layer-1 preprocessors and
-/// Layer-2 networks inside the [`Ensemble`], Layer-3 thresholds fixed by
-/// offline profiling.
-pub struct PolygraphSystem {
-    ensemble: Ensemble,
-    thresholds: Thresholds,
+/// The member forward passes of one request, as
+/// [`RequestEngine::forwards`] ran them; [`RequestEngine::fold`] turns
+/// them into the request's decision.
+pub enum Forwards {
+    /// Unguarded: the RADE or full-ensemble decision is already made.
+    Decided(BudgetedDecision),
+    /// Guarded: for each member active at dispatch, in member order, its
+    /// index, its checked probabilities (or the fault that outlived the
+    /// retries) and the retries it spent.
+    Checked(Vec<(usize, Result<Vec<f32>, ChecksumFault>, usize)>),
+}
+
+/// The one request engine: the decision policy (RADE staging, thresholds,
+/// fault policy) and the fault state it evolves (active set, strikes,
+/// solo-disagreement counts, event log, effective thresholds).
+///
+/// A request is two steps. [`RequestEngine::forwards`] is the per-request
+/// core: it runs the member forward passes on any replica of the
+/// ensemble and only reads the state. [`RequestEngine::fold`] then applies
+/// the outcome to the state. Batch callers run the core on input shards
+/// ([`shard_requests`]) and fold the outcomes in submission order. That is
+/// bit-identical to core-then-fold per input: forward passes are
+/// deterministic, and the fold drops the outcome of a member quarantined
+/// earlier in the same batch, which the sequential path would not have run.
+#[derive(Clone)]
+pub struct RequestEngine {
     staged: Option<Arc<StagedEngine>>,
+    thresholds: Thresholds,
     fault_policy: Option<FaultPolicy>,
-    protection_level: Option<ProtectionLevel>,
     /// Per-member activity flags; quarantine clears a flag.
     active: Vec<bool>,
     /// Per-member unrecovered checksum-fault counts.
@@ -141,34 +163,228 @@ pub struct PolygraphSystem {
     events: Vec<FaultEvent>,
 }
 
+impl RequestEngine {
+    /// The per-request core on `members` (the ensemble or a replica of it).
+    ///
+    /// Under a fault policy every member active at dispatch runs an
+    /// ABFT-checked forward pass, re-run up to `retries` times on a
+    /// checksum fault, whatever the budget: a guarded request is never
+    /// degraded. Otherwise this is [`decide_request`] under the budget.
+    /// Forward passes report into the `infer.forward_ns.m{i}` timers.
+    pub fn forwards(
+        &self,
+        members: &mut [Member],
+        image: &Tensor,
+        may_escalate: impl FnMut(usize) -> bool,
+    ) -> Forwards {
+        let Some(FaultPolicy { tolerance, retries, .. }) = self.fault_policy else {
+            let staged = self.staged.as_deref();
+            let out = decide_request(members, staged, self.thresholds, image, may_escalate);
+            return Forwards::Decided(out);
+        };
+        let checked = members.iter_mut().enumerate().filter(|(m, _)| self.active[*m]);
+        Forwards::Checked(
+            checked
+                .map(|(m, member)| {
+                    let timer = pgmr_obs::global().timer(forward_timer_name(m));
+                    let mut result = timer.time(|| member.predict_checked(image, tolerance));
+                    let mut retried = 0;
+                    while result.is_err() && retried < retries {
+                        retried += 1;
+                        result = timer.time(|| member.predict_checked(image, tolerance));
+                    }
+                    (m, result, retried)
+                })
+                // pgmr-lint: allow(hot-path-alloc): the guarded arm, run only under a fault policy; the unguarded request path returns above
+                .collect(),
+        )
+    }
+
+    /// Applies one request's forwards to the fault state, in submission
+    /// order, and returns the request's decision.
+    ///
+    /// Guarded outcomes go through the retry/strike/quarantine
+    /// bookkeeping in member order: checksum faults that survived the
+    /// retries are strikes, and `quarantine_after` strikes or
+    /// `solo_after` consecutive solo disagreements quarantine a member.
+    /// The surviving votes are decided under the
+    /// [effective thresholds](PolygraphSystem::effective_thresholds). The
+    /// outcome of a member quarantined by an earlier request is dropped.
+    /// Obs counters and events are emitted here, never from a shard, so
+    /// they are deterministic at any pool width.
+    pub fn fold(&mut self, forwards: Forwards) -> BudgetedDecision {
+        let outcomes = match forwards {
+            Forwards::Decided(out) => return out,
+            Forwards::Checked(outcomes) => outcomes,
+        };
+        let policy = self.fault_policy.expect("checked forwards come from a fault policy");
+        let obs = pgmr_obs::global();
+        let mut probs: Vec<Vec<f32>> = Vec::new();
+        let mut voters: Vec<usize> = Vec::new();
+        for (m, result, retried) in outcomes {
+            // Quarantined by an earlier request of the same batch: the
+            // shard ran it speculatively, sequential inference would not.
+            if !self.active[m] {
+                continue;
+            }
+            for _ in 0..retried {
+                self.events.push(FaultEvent::ChecksumRetry { member: m });
+                obs.counter("abft.retries_total").inc();
+                obs.emit("abft.retry", format!("member={m}"));
+            }
+            match result {
+                Ok(p) => {
+                    probs.push(p);
+                    voters.push(m);
+                }
+                Err(_) => {
+                    self.strikes[m] += 1;
+                    let strikes = self.strikes[m];
+                    self.events.push(FaultEvent::ChecksumStrike { member: m, strikes });
+                    obs.counter("abft.strikes_total").inc();
+                    obs.emit("abft.strike", format!("member={m} strikes={strikes}"));
+                    if strikes >= policy.quarantine_after {
+                        self.quarantine(m, QuarantineReason::RepeatedChecksumFaults);
+                    }
+                }
+            }
+        }
+
+        // Persistent-disagreement tracking: a member that contradicts an
+        // otherwise unanimous ensemble over and over is running on
+        // corrupted state (ABFT-invisible weight faults land here).
+        if voters.len() >= 3 {
+            let votes: Vec<usize> = probs.iter().map(|p| argmax(p)).collect();
+            for (i, &m) in voters.iter().enumerate() {
+                let mut peers = votes.iter().enumerate().filter(|&(j, _)| j != i).map(|(_, &v)| v);
+                let first = peers.next().expect("at least two peers");
+                if peers.all(|v| v == first) && votes[i] != first {
+                    self.solo[m] += 1;
+                    if self.solo[m] >= policy.solo_after && self.active[m] {
+                        self.quarantine(m, QuarantineReason::PersistentDisagreement);
+                    }
+                } else {
+                    self.solo[m] = 0;
+                }
+            }
+        }
+
+        let activated = probs.len();
+        let verdict = if probs.is_empty() {
+            Verdict::Unreliable { class: None, votes: 0 }
+        } else {
+            DecisionEngine::new(self.effective_thresholds()).decide(&probs)
+        };
+        note_verdict(&verdict);
+        BudgetedDecision {
+            decision: StagedDecision { verdict, activated },
+            budget_exhausted: false,
+        }
+    }
+
+    /// Removes member `m` from the active ensemble and reports it.
+    fn quarantine(&mut self, m: usize, reason: QuarantineReason) {
+        self.active[m] = false;
+        self.events.push(FaultEvent::Quarantined { member: m, reason });
+        let obs = pgmr_obs::global();
+        obs.counter("abft.quarantines_total").inc();
+        let why = match reason {
+            QuarantineReason::RepeatedChecksumFaults => "checksum",
+            QuarantineReason::PersistentDisagreement => "solo",
+        };
+        obs.emit("abft.quarantine", format!("member={m} reason={why}"));
+    }
+
+    /// Drains the pending degradation events (oldest first).
+    pub fn drain_fault_events(&mut self) -> Vec<FaultEvent> {
+        std::mem::take(&mut self.events)
+    }
+
+    /// See [`PolygraphSystem::effective_thresholds`].
+    fn effective_thresholds(&self) -> Thresholds {
+        let total = self.active.len();
+        let active = self.active.iter().filter(|&&a| a).count();
+        if active == 0 || active == total {
+            return self.thresholds;
+        }
+        let freq = (self.thresholds.freq * active * 2 + total) / (2 * total);
+        Thresholds::new(self.thresholds.conf, freq.clamp(1, active))
+    }
+
+    /// Resizes the per-member bookkeeping to `n` members if the ensemble
+    /// grew or shrank (e.g. members pushed through
+    /// [`PolygraphSystem::ensemble_mut`]).
+    fn sync(&mut self, n: usize) {
+        if self.active.len() != n {
+            self.active.resize(n, true);
+            self.strikes.resize(n, 0);
+            self.solo.resize(n, 0);
+        }
+    }
+}
+
+/// Runs `each` over `items` on `pool`, in submission-order shards, one per
+/// replica set in `replicas`, and returns the results in item order — the
+/// batch shape of [`PolygraphSystem::infer_batch`] and of the serving
+/// front-end. Each shard runs its items in order on its own replicas.
+pub fn shard_requests<T: Sync, R: Send>(
+    pool: &WorkerPool,
+    replicas: &mut [Vec<Member>],
+    items: &[T],
+    each: impl Fn(&mut [Member], &T) -> R + Sync,
+) -> Vec<R> {
+    let each = &each;
+    let jobs: Vec<_> = shard_ranges(items.len(), replicas.len())
+        .into_iter()
+        .zip(replicas)
+        .map(|(range, members)| {
+            move || {
+                // pgmr-lint: allow(hot-path-alloc): per-shard outcome marshalling — one Vec per shard per batch, not per image
+                items[range].iter().map(|item| each(members, item)).collect::<Vec<_>>()
+            }
+        })
+        // pgmr-lint: allow(hot-path-alloc): per-batch job list, bounded by replica count
+        .collect();
+    // pgmr-lint: allow(hot-path-alloc): per-batch outcome concatenation, bounded by batch size
+    pool.run(jobs).into_iter().flatten().collect()
+}
+
+/// A deployable PolygraphMR system (Fig. 4): Layer-1 preprocessors and
+/// Layer-2 networks inside the [`Ensemble`], Layer-3 thresholds fixed by
+/// offline profiling, all requests through one [`RequestEngine`].
+pub struct PolygraphSystem {
+    ensemble: Ensemble,
+    engine: RequestEngine,
+    protection_level: Option<ProtectionLevel>,
+}
+
 impl PolygraphSystem {
     /// Assembles a system from a trained ensemble and profiled thresholds.
     pub fn new(ensemble: Ensemble, thresholds: Thresholds) -> Self {
         let n = ensemble.len();
-        PolygraphSystem {
-            ensemble,
-            thresholds,
+        let engine = RequestEngine {
             staged: None,
+            thresholds,
             fault_policy: None,
-            protection_level: None,
             active: vec![true; n],
             strikes: vec![0; n],
             solo: vec![0; n],
             events: Vec::new(),
-        }
+        };
+        PolygraphSystem { ensemble, engine, protection_level: None }
     }
 
     /// The system's thresholds.
     pub fn thresholds(&self) -> Thresholds {
-        self.thresholds
+        self.engine.thresholds
     }
 
     /// Replaces the thresholds (re-selection from a stored Pareto frontier
     /// when user demands change, §III-E).
     pub fn set_thresholds(&mut self, thresholds: Thresholds) {
-        self.thresholds = thresholds;
-        if let Some(staged) = &self.staged {
-            self.staged = Some(Arc::new(StagedEngine::new(staged.priority().to_vec(), thresholds)));
+        self.engine.thresholds = thresholds;
+        if let Some(priority) = self.engine.staged.as_ref().map(|s| s.priority().to_vec()) {
+            self.enable_staged(priority);
         }
     }
 
@@ -189,31 +405,38 @@ impl PolygraphSystem {
     /// Panics if the priority is invalid for this ensemble.
     pub fn enable_staged(&mut self, priority: Vec<usize>) {
         assert_eq!(priority.len(), self.ensemble.len(), "priority must cover every member");
-        self.staged = Some(Arc::new(StagedEngine::new(priority, self.thresholds)));
+        self.engine.staged = Some(Arc::new(StagedEngine::new(priority, self.engine.thresholds)));
     }
 
     /// Disables RADE; `infer` activates every member again.
     pub fn disable_staged(&mut self) {
-        self.staged = None;
+        self.engine.staged = None;
     }
 
     /// True when RADE staged activation is enabled.
     pub fn is_staged(&self) -> bool {
-        self.staged.is_some()
+        self.engine.staged.is_some()
     }
 
-    /// The active staged engine, if RADE is enabled — the serving
-    /// front-end reads it to replicate the system's decision policy onto
-    /// its per-worker member replicas.
+    /// The active staged engine, if RADE is enabled.
     pub fn staged_engine(&self) -> Option<&StagedEngine> {
-        self.staged.as_deref()
+        self.engine.staged.as_deref()
     }
 
-    /// The staged engine behind its shared handle — serving front-ends
-    /// clone the `Arc` instead of deep-copying the probe/threshold state
-    /// per handle.
+    /// The staged engine behind its shared handle, cloned as an `Arc`
+    /// instead of deep-copying the probe/threshold state.
     pub fn staged_engine_shared(&self) -> Option<Arc<StagedEngine>> {
-        self.staged.clone()
+        self.engine.staged.clone()
+    }
+
+    /// A snapshot of the system's request engine — staging, thresholds,
+    /// fault policy and fault state, with an empty event log. The serving
+    /// front-end runs its requests through one.
+    pub fn request_engine(&self) -> RequestEngine {
+        let mut engine = self.engine.clone();
+        engine.sync(self.ensemble.len());
+        engine.events.clear();
+        engine
     }
 
     /// Enables (or disables) ABFT-guarded fault-tolerant inference. While
@@ -223,13 +446,13 @@ impl PolygraphSystem {
     /// faulting or persistently contradict the rest of the ensemble.
     /// Takes precedence over RADE staging (every active member runs).
     pub fn set_fault_policy(&mut self, policy: Option<FaultPolicy>) {
-        self.fault_policy = policy;
-        self.sync_fault_state();
+        self.engine.fault_policy = policy;
+        self.engine.sync(self.ensemble.len());
     }
 
     /// The active fault policy, if any.
     pub fn fault_policy(&self) -> Option<&FaultPolicy> {
-        self.fault_policy.as_ref()
+        self.engine.fault_policy.as_ref()
     }
 
     /// Applies a vulnerability-guided protection level to every member:
@@ -283,26 +506,27 @@ impl PolygraphSystem {
 
     /// Indices of quarantined members.
     pub fn quarantined(&self) -> Vec<usize> {
-        self.active.iter().enumerate().filter(|(_, &a)| !a).map(|(i, _)| i).collect()
+        self.engine.active.iter().enumerate().filter(|(_, &a)| !a).map(|(i, _)| i).collect()
     }
 
     /// Number of members still in the active ensemble.
     pub fn active_members(&self) -> usize {
-        self.active.iter().filter(|&&a| a).count()
+        self.engine.active.iter().filter(|&&a| a).count()
     }
 
     /// Returns a quarantined member to service and clears its counters
     /// (after re-verification or repair of the underlying network).
     pub fn reinstate(&mut self, member: usize) {
-        self.sync_fault_state();
-        self.active[member] = true;
-        self.strikes[member] = 0;
-        self.solo[member] = 0;
+        let engine = &mut self.engine;
+        engine.sync(self.ensemble.len());
+        engine.active[member] = true;
+        engine.strikes[member] = 0;
+        engine.solo[member] = 0;
     }
 
     /// Drains the pending degradation events (oldest first).
     pub fn drain_fault_events(&mut self) -> Vec<FaultEvent> {
-        std::mem::take(&mut self.events)
+        self.engine.drain_fault_events()
     }
 
     /// The thresholds actually applied by fault-tolerant inference: when
@@ -315,149 +539,7 @@ impl PolygraphSystem {
     /// and lose coverage.) Equal to the base thresholds while the full
     /// ensemble is active.
     pub fn effective_thresholds(&self) -> Thresholds {
-        let total = self.ensemble.len();
-        let active = self.active.iter().filter(|&&a| a).count();
-        if active == 0 || active == total {
-            return self.thresholds;
-        }
-        let freq = (self.thresholds.freq * active * 2 + total) / (2 * total);
-        Thresholds::new(self.thresholds.conf, freq.clamp(1, active))
-    }
-
-    /// Resizes the per-member bookkeeping if the ensemble grew or shrank
-    /// (e.g. members pushed through [`PolygraphSystem::ensemble_mut`]).
-    fn sync_fault_state(&mut self) {
-        let n = self.ensemble.len();
-        if self.active.len() != n {
-            self.active.resize(n, true);
-            self.strikes.resize(n, 0);
-            self.solo.resize(n, 0);
-        }
-    }
-
-    /// One fault-tolerant inference: every active member runs an
-    /// ABFT-guarded forward pass; checksum faults trigger up to
-    /// `policy.retries` re-runs, then a strike (the member sits out this
-    /// input). Members reaching `quarantine_after` strikes, or
-    /// `solo_after` consecutive solo disagreements, are quarantined and
-    /// the vote threshold re-derived over the surviving ensemble.
-    ///
-    /// With a worker `pool`, the guarded forward passes (including their
-    /// retry loops) run concurrently: they are independent per member —
-    /// each owns its network and any attached injector. The outcomes are
-    /// then folded in member order, which reproduces the sequential event
-    /// stream and decision exactly.
-    fn infer_fault_tolerant_with(
-        &mut self,
-        image: &Tensor,
-        pool: Option<&WorkerPool>,
-    ) -> StagedDecision {
-        let policy = *self.fault_policy.as_ref().expect("fault policy set");
-        self.sync_fault_state();
-        let tol = policy.tolerance;
-        let retries = policy.retries;
-
-        // Stage 1: guarded forward passes of the active members.
-        type MemberOutcome = (usize, Result<Vec<f32>, ChecksumFault>, usize);
-        let outcomes: Vec<MemberOutcome> = {
-            let active = self.active.clone();
-            let jobs: Vec<_> = self
-                .ensemble
-                .members_mut()
-                .iter_mut()
-                .enumerate()
-                .filter(|(m, _)| active[*m])
-                .map(|(m, member)| {
-                    move || {
-                        let timer = pgmr_obs::global().timer(forward_timer_name(m));
-                        let mut result = timer.time(|| member.predict_checked(image, tol));
-                        let mut retried = 0;
-                        while result.is_err() && retried < retries {
-                            retried += 1;
-                            result = timer.time(|| member.predict_checked(image, tol));
-                        }
-                        (m, result, retried)
-                    }
-                })
-                .collect();
-            match pool {
-                // pgmr-lint: allow(nested-pool-run): the only closure of infer_batch reaching here is an inline iterator adapter on the caller's thread (the sequential fault-policy path), never a pool job
-                Some(pool) => pool.run(jobs),
-                None => jobs.into_iter().map(|mut job| job()).collect(),
-            }
-        };
-
-        // Stage 2: fold outcomes in member order — retry/strike/quarantine
-        // bookkeeping is identical to running the members one by one. The
-        // fold is where obs events are emitted (never from the concurrent
-        // jobs), so the event stream is deterministic at any pool width.
-        let obs = pgmr_obs::global();
-        let mut probs: Vec<Vec<f32>> = Vec::new();
-        let mut voters: Vec<usize> = Vec::new();
-        for (m, result, retried) in outcomes {
-            for _ in 0..retried {
-                self.events.push(FaultEvent::ChecksumRetry { member: m });
-                obs.counter("abft.retries_total").inc();
-                obs.emit("abft.retry", format!("member={m}"));
-            }
-            match result {
-                Ok(p) => {
-                    probs.push(p);
-                    voters.push(m);
-                }
-                Err(_) => {
-                    self.strikes[m] += 1;
-                    self.events
-                        .push(FaultEvent::ChecksumStrike { member: m, strikes: self.strikes[m] });
-                    obs.counter("abft.strikes_total").inc();
-                    obs.emit("abft.strike", format!("member={m} strikes={}", self.strikes[m]));
-                    if self.strikes[m] >= policy.quarantine_after {
-                        self.active[m] = false;
-                        self.events.push(FaultEvent::Quarantined {
-                            member: m,
-                            reason: QuarantineReason::RepeatedChecksumFaults,
-                        });
-                        obs.counter("abft.quarantines_total").inc();
-                        obs.emit("abft.quarantine", format!("member={m} reason=checksum"));
-                    }
-                }
-            }
-        }
-
-        // Persistent-disagreement tracking: a member that contradicts an
-        // otherwise unanimous ensemble over and over is running on
-        // corrupted state (ABFT-invisible weight faults land here).
-        if voters.len() >= 3 {
-            let votes: Vec<usize> = probs.iter().map(|p| argmax(p)).collect();
-            for (i, &m) in voters.iter().enumerate() {
-                let mut peers = votes.iter().enumerate().filter(|&(j, _)| j != i).map(|(_, &v)| v);
-                let first = peers.next().expect("at least two peers");
-                let peers_unanimous = peers.all(|v| v == first);
-                if peers_unanimous && votes[i] != first {
-                    self.solo[m] += 1;
-                    if self.solo[m] >= policy.solo_after && self.active[m] {
-                        self.active[m] = false;
-                        self.events.push(FaultEvent::Quarantined {
-                            member: m,
-                            reason: QuarantineReason::PersistentDisagreement,
-                        });
-                        obs.counter("abft.quarantines_total").inc();
-                        obs.emit("abft.quarantine", format!("member={m} reason=solo"));
-                    }
-                } else {
-                    self.solo[m] = 0;
-                }
-            }
-        }
-
-        let activated = probs.len();
-        let verdict = if probs.is_empty() {
-            Verdict::Unreliable { class: None, votes: 0 }
-        } else {
-            DecisionEngine::new(self.effective_thresholds()).decide(&probs)
-        };
-        note_verdict(&verdict);
-        StagedDecision { verdict, activated }
+        self.engine.effective_thresholds()
     }
 
     /// Like [`PolygraphSystem::infer`], but feeds the verdict and any
@@ -465,9 +547,9 @@ impl PolygraphSystem {
     /// glue between per-input fault tolerance and stream-level health.
     /// The event log stays intact for [`PolygraphSystem::drain_fault_events`].
     pub fn infer_monitored(&mut self, image: &Tensor, monitor: &mut ReliabilityMonitor) -> Verdict {
-        let seen = self.events.len();
+        let seen = self.engine.events.len();
         let verdict = self.infer(image);
-        for event in &self.events[seen..] {
+        for event in &self.engine.events[seen..] {
             if let FaultEvent::Quarantined { member, .. } = event {
                 monitor.note_quarantine(*member);
             }
@@ -483,56 +565,42 @@ impl PolygraphSystem {
     }
 
     /// Like [`PolygraphSystem::infer`] but also reports how many member
-    /// networks were activated (always the full count without RADE).
+    /// networks were activated (always the full active count without
+    /// RADE): the request engine's core and fold on one input.
     pub fn infer_counted(&mut self, image: &Tensor) -> StagedDecision {
-        if self.fault_policy.is_some() {
-            return self.infer_fault_tolerant_with(image, None);
-        }
-        let (staged, thresholds) = (self.staged.as_deref(), self.thresholds);
-        decide_request(self.ensemble.members_mut(), staged, thresholds, image, |_| true).decision
+        self.engine.sync(self.ensemble.len());
+        let forwards = self.engine.forwards(self.ensemble.members_mut(), image, |_| true);
+        self.engine.fold(forwards).decision
     }
 
-    /// Batch-mode inference over `pool`: classifies every image with
-    /// decision semantics preserved exactly — decisions and fault events
-    /// are bit-identical to calling [`PolygraphSystem::infer_counted`] on
-    /// each image in order.
+    /// Batch-mode inference over `pool`: decisions and fault events are
+    /// bit-identical to calling [`PolygraphSystem::infer_counted`] on each
+    /// image in order.
     ///
-    /// With a fault policy set, inputs stay sequential (strikes and
-    /// quarantine evolve from input to input) but each input's guarded
-    /// member passes run concurrently. Otherwise the input set is sharded
-    /// across the pool on cloned members — forward passes are
-    /// deterministic, so the shards compose bit-identically. Members with
-    /// an attached fault injector force the sequential path: their
+    /// The images are sharded across the pool onto cloned members, guarded
+    /// or not, and the outcomes folded in order. Under a fault policy the
+    /// shards run every member active at dispatch; when the fold
+    /// quarantines a member, its outcomes for the rest of the batch are
+    /// discarded, though their forward passes already ran and count in the
+    /// `infer.forward_ns.m{i}` timers and the per-pass `abft.checked_total`,
+    /// `abft.skipped_total` and `dup.exec_total` counters. Members with an
+    /// attached fault injector force the sequential path: their
     /// injector's RNG stream advances across inputs and sharding would
     /// reorder it.
     pub fn infer_batch(&mut self, images: &[Tensor], pool: &WorkerPool) -> Vec<StagedDecision> {
-        if self.fault_policy.is_some() {
-            return images
-                .iter()
-                .map(|img| self.infer_fault_tolerant_with(img, Some(pool)))
-                .collect();
-        }
         let injected = self.ensemble.members().iter().any(|m| m.fault_injector().is_some());
         if pool.threads() == 1 || images.len() < 2 || injected {
             return images.iter().map(|img| self.infer_counted(img)).collect();
         }
-        let staged = self.staged.as_deref();
-        let thresholds = self.thresholds;
-        let jobs: Vec<_> = shard_ranges(images.len(), pool.threads())
-            .into_iter()
-            .map(|range| {
-                let mut members: Vec<Member> = self.ensemble.members().to_vec();
-                move || {
-                    images[range]
-                        .iter()
-                        .map(|img| {
-                            decide_request(&mut members, staged, thresholds, img, |_| true).decision
-                        })
-                        .collect::<Vec<_>>()
-                }
-            })
-            .collect();
-        pool.run(jobs).into_iter().flatten().collect()
+        self.engine.sync(self.ensemble.len());
+        let members = self.ensemble.members();
+        let mut replicas: Vec<Vec<Member>> =
+            (0..pool.threads().min(images.len())).map(|_| members.to_vec()).collect();
+        let engine = &self.engine;
+        let forwards = shard_requests(pool, &mut replicas, images, |replica, img| {
+            engine.forwards(replica, img, |_| true)
+        });
+        forwards.into_iter().map(|f| self.engine.fold(f).decision).collect()
     }
 
     /// Batch-mode [`PolygraphSystem::evaluate`]: the identical summary and
@@ -542,40 +610,29 @@ impl PolygraphSystem {
         data: &Dataset,
         pool: &WorkerPool,
     ) -> (RateSummary, Vec<usize>) {
-        let decisions = self.infer_batch(data.images(), pool);
-        let mut outcomes = Vec::with_capacity(data.len());
-        let mut activations = Vec::with_capacity(data.len());
-        for (d, &label) in decisions.iter().zip(data.labels()) {
-            outcomes.push(pgmr_metrics::Outcome::from_flags(
-                d.verdict.class() == Some(label),
-                d.verdict.is_reliable(),
-            ));
-            activations.push(d.activated);
-        }
-        (pgmr_metrics::summarize(&outcomes), activations)
+        score(&self.infer_batch(data.images(), pool), data.labels())
     }
 
     /// Evaluates the system over a dataset, returning the reliability rate
     /// summary and the per-sample activation counts (useful for RADE cost
     /// accounting; all-members counts without RADE).
     pub fn evaluate(&mut self, data: &Dataset) -> (RateSummary, Vec<usize>) {
-        let mut outcomes = Vec::with_capacity(data.len());
-        let mut activations = Vec::with_capacity(data.len());
-        for (img, &label) in data.images().iter().zip(data.labels()) {
-            let d = self.infer_counted(img);
-            outcomes.push(pgmr_metrics::Outcome::from_flags(
-                d.verdict.class() == Some(label),
-                d.verdict.is_reliable(),
-            ));
-            activations.push(d.activated);
-        }
-        (pgmr_metrics::summarize(&outcomes), activations)
+        let decisions: Vec<_> = data.images().iter().map(|img| self.infer_counted(img)).collect();
+        score(&decisions, data.labels())
     }
 }
 
+/// The rate summary and per-sample activation counts of `decisions`
+/// against ground-truth `labels`.
+fn score(decisions: &[StagedDecision], labels: &[usize]) -> (RateSummary, Vec<usize>) {
+    let verdicts: Vec<Verdict> = decisions.iter().map(|d| d.verdict).collect();
+    let summary = pgmr_metrics::summarize(&outcomes(&verdicts, labels));
+    (summary, decisions.iter().map(|d| d.activated).collect())
+}
+
 /// One un-guarded (plain or RADE) per-request decision over a member
-/// slice, with an escalation budget — the per-request core the serving
-/// front-end (`pgmr-serve`) runs on its worker-owned member replicas.
+/// slice, with an escalation budget — the unguarded arm of
+/// [`RequestEngine::forwards`].
 ///
 /// With RADE (`staged` set) the first `Thr_Freq` members always run and
 /// `may_escalate(activated_so_far)` gates every activation beyond them;
@@ -825,6 +882,38 @@ mod tests {
         assert_eq!(sequential, batched, "fault-path batch evaluation diverged");
         assert_eq!(seq_system.drain_fault_events(), batch_system.drain_fault_events());
         assert_eq!(seq_system.quarantined(), batch_system.quarantined());
+    }
+
+    #[test]
+    fn guarded_batch_drops_outcomes_of_members_quarantined_mid_batch() {
+        use pgmr_faults::{inject_weights, FaultSpec, EXPONENT_BITS};
+        // Two identical systems with member 2's weights persistently
+        // corrupted and no injector, so the batch shards run every member
+        // active at dispatch. Once the fold quarantines member 2, its
+        // already-computed outcomes for the rest of the batch must be
+        // dropped: verdicts, activations, events and the quarantine set
+        // all match sequential inference.
+        let configure = |system: &mut PolygraphSystem| {
+            let spec = FaultSpec::persistent_weights(17, 0.02).with_bits(EXPONENT_BITS);
+            inject_weights(system.ensemble_mut().members_mut()[2].network_mut(), &spec);
+            system.set_fault_policy(Some(FaultPolicy::default()));
+        };
+        let (mut seq_system, test) = build_system();
+        let (mut batch_system, _) = build_system();
+        configure(&mut seq_system);
+        configure(&mut batch_system);
+        let images = &test.images()[..40];
+
+        let sequential: Vec<_> = images.iter().map(|img| seq_system.infer_counted(img)).collect();
+        let batched = batch_system.infer_batch(images, &WorkerPool::new(4));
+        assert_eq!(sequential, batched, "guarded batch diverged from sequential inference");
+        assert_eq!(seq_system.drain_fault_events(), batch_system.drain_fault_events());
+        assert_eq!(batch_system.quarantined(), vec![2]);
+        assert_eq!(seq_system.quarantined(), batch_system.quarantined());
+        // The quarantine lands mid-batch: full activations before it,
+        // the two survivors after it.
+        assert_eq!(batched[0].activated, 3);
+        assert_eq!(batched[images.len() - 1].activated, 2);
     }
 
     #[test]

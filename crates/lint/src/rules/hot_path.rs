@@ -16,7 +16,7 @@
 //!   train/verify tier the zero-alloc kernels are checked against. The
 //!   inference tier has no training fallback, so only name-based
 //!   over-approximate edges lead there;
-//! - the arena file itself ([`EXEMPT_FILES`]) — where the hot path's
+//! - the arena file itself (`EXEMPT_FILES`) — where the hot path's
 //!   memory legitimately comes from;
 //! - any function annotated `pgmr-lint: boundary(hot-path-alloc):
 //!   reason` — a *documented* allocating tier (e.g. `Member::predict`

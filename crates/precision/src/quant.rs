@@ -1,7 +1,7 @@
 //! Measured narrow arithmetic: integer weight storage and a dense
 //! execution path over `pgmr_tensor`'s packed `i8`/`i16` GEMM kernels.
 //!
-//! [`crate::QuantizedNetwork`] *simulates* reduced precision by rounding
+//! [`Precision`](crate::Precision) *simulates* reduced precision by rounding
 //! f32 values at load/store boundaries — faithful to the paper's modified
 //! kernels, but every multiply still runs at full width, so RAMR's
 //! bandwidth savings stay theoretical. This module executes genuinely

@@ -10,7 +10,9 @@
 //! exit early, and doubtful inputs escalate toward the full ensemble only
 //! while the request's deadline budget allows. A request whose budget
 //! expires mid-protocol still gets an answer: the best-so-far plurality,
-//! marked deadline-degraded.
+//! marked deadline-degraded. A system with an ABFT fault policy is served
+//! guarded: checked forward passes, retries and quarantine, exactly as
+//! [`PolygraphSystem::infer`] runs them.
 //!
 //! ## Architecture
 //!
@@ -24,26 +26,33 @@
 //! * The batcher collects an admission window — up to
 //!   [`ServeConfig::max_batch`] requests or [`ServeConfig::max_delay`]
 //!   after the first arrival, whichever closes first — and dispatches the
-//!   batch across the member replicas on a serve-owned
-//!   [`WorkerPool`](pgmr_nn::pool::WorkerPool) (dedicated, because nesting
-//!   `run` calls into the shared global pool can deadlock).
-//! * Each request runs [`polygraph_mr::system::decide_request`], which
-//!   calls `Member::predict` for each member it activates, under an
-//!   escalation budget derived from the request's deadline. That path
-//!   allocates: `reqbench` measures 5 allocations per `Member::predict`
+//!   batch across the member replicas on a serve-owned [`WorkerPool`]
+//!   (dedicated, because nesting `run` calls into the shared global pool
+//!   can deadlock).
+//! * Each request runs the system's [`RequestEngine`]: its per-request
+//!   core on the worker's replicas, then its fold, in submission order, on
+//!   the batcher thread. Unguarded, the core is
+//!   [`polygraph_mr::system::decide_request`], which calls
+//!   `Member::predict` for each member it activates, under an escalation
+//!   budget derived from the request's deadline. That path allocates:
+//!   `reqbench` measures 5 allocations per `Member::predict`
 //!   (`core.predict_allocs`) and about 13.5 per request
 //!   (`core.request_allocs`), not the zero of the bare
-//!   `forward_into_logits`. Verdicts are folded in
-//!   submission order, feeding a [`ReliabilityMonitor`] so stream health
-//!   ([`ServeHandle::health`]) reflects live traffic.
+//!   `forward_into_logits`. Under a [`FaultPolicy`](polygraph_mr::FaultPolicy)
+//!   every active member runs an ABFT-checked forward pass whatever the
+//!   budget, so guarded requests never degrade, and the fold applies
+//!   retries, strikes and quarantine. Quarantines and verdicts feed a
+//!   [`ReliabilityMonitor`], so stream health ([`ServeHandle::health`])
+//!   reflects live traffic.
 //!
 //! ## Determinism
 //!
-//! With open deadlines the served verdicts are bit-identical to calling
+//! With open deadlines the served verdicts, and under a fault policy the
+//! fault state too, are bit-identical to calling
 //! [`PolygraphSystem::infer_counted`] on the same images in submission
 //! order: batching and sharding only regroup work, never reorder the fold.
-//! Deadline-expired requests are the one (documented, surfaced) exception
-//! — their verdict depends on how much budget was left.
+//! Deadline-expired RADE requests are the one (documented, surfaced)
+//! exception — their verdict depends on how much budget was left.
 //!
 //! ## Observability
 //!
@@ -78,13 +87,12 @@
 //! handle.shutdown();
 //! ```
 
-use pgmr_nn::pool::{shard_ranges, WorkerPool};
+use pgmr_nn::pool::WorkerPool;
 use pgmr_tensor::Tensor;
 use polygraph_mr::ensemble::Member;
-use polygraph_mr::rade::{StagedDecision, StagedEngine};
+use polygraph_mr::rade::StagedDecision;
 use polygraph_mr::stream::{ReliabilityMonitor, StreamHealth};
-use polygraph_mr::system::{decide_request, PolygraphSystem};
-use polygraph_mr::Thresholds;
+use polygraph_mr::system::{shard_requests, FaultEvent, PolygraphSystem, RequestEngine};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -266,27 +274,24 @@ pub struct ServeHandle {
 
 impl ServeHandle {
     /// Starts a front-end serving `system`'s decision policy: its members
-    /// (cloned once per worker), its thresholds, and — when RADE is
-    /// enabled — its staged engine as the deadline policy. Without RADE
-    /// every member runs on every request (the always-full-ensemble
-    /// serving mode); deadlines then only classify completions as missed,
-    /// never degrade them.
+    /// (cloned once per worker) and a snapshot of its
+    /// [`RequestEngine`] — thresholds, the staged engine as the deadline
+    /// policy when RADE is enabled, and the fault policy with its fault
+    /// state. Without RADE, or under a fault policy, every active member
+    /// runs on every request; deadlines then only classify completions as
+    /// missed, never degrade them.
     ///
     /// The system itself is only read; it stays usable (e.g. as the
-    /// bit-identical sequential reference in tests).
+    /// bit-identical sequential reference in tests). Quarantines in the
+    /// served stream stay in the front-end's snapshot.
     ///
     /// # Panics
     ///
-    /// Panics if `config.max_batch` is zero, the ensemble is empty, a
-    /// fault policy is set (serve runs the unguarded inference path), or
+    /// Panics if `config.max_batch` is zero, the ensemble is empty, or
     /// any member carries a fault injector (injector RNG streams cannot be
     /// replicated deterministically across workers).
     pub fn spawn(system: &PolygraphSystem, config: ServeConfig) -> ServeHandle {
         assert!(config.max_batch >= 1, "max_batch must be at least 1");
-        assert!(
-            system.fault_policy().is_none(),
-            "serve runs the unguarded inference path — disable the fault policy first"
-        );
         let members = system.ensemble().members();
         assert!(!members.is_empty(), "cannot serve an empty ensemble");
         assert!(
@@ -308,8 +313,7 @@ impl ServeHandle {
             receiver,
             replicas,
             pool: WorkerPool::new(workers),
-            staged: system.staged_engine_shared(),
-            thresholds: system.thresholds(),
+            engine: system.request_engine(),
             monitor,
             shared: Arc::clone(&shared),
             max_batch: config.max_batch,
@@ -421,8 +425,8 @@ struct BatchEngine {
     /// because forward passes are deterministic.
     replicas: Vec<Vec<Member>>,
     pool: WorkerPool,
-    staged: Option<Arc<StagedEngine>>,
-    thresholds: Thresholds,
+    /// The system's request engine; its fold runs on this thread.
+    engine: RequestEngine,
     monitor: ReliabilityMonitor,
     shared: Arc<Shared>,
     max_batch: usize,
@@ -463,8 +467,9 @@ impl BatchEngine {
     }
 
     /// Dispatches one batch across the member replicas and folds the
-    /// outcomes in submission order (completion delivery, monitor feed,
-    /// and stats all follow that order — the determinism contract).
+    /// outcomes in submission order (fault state, completion delivery,
+    /// monitor feed, and stats all follow that order — the determinism
+    /// contract).
     fn process(&mut self, batch: Vec<Request>) {
         let obs = pgmr_obs::global();
         {
@@ -475,43 +480,24 @@ impl BatchEngine {
         obs.counter("serve.batches_total").inc();
         obs.histogram("serve.batch_size").record(batch.len() as u64);
 
-        // Shard the batch across the replicas; each shard runs its
-        // requests sequentially on its own member set, so concatenating
-        // shard results in order reproduces the sequential fold exactly.
-        let staged = self.staged.as_deref();
-        let thresholds = self.thresholds;
-        let jobs: Vec<_> = shard_ranges(batch.len(), self.replicas.len())
-            .into_iter()
-            .zip(self.replicas.iter_mut())
-            .map(|(range, members)| {
-                let requests = &batch[range];
-                move || {
-                    requests
-                        .iter()
-                        .map(|r| {
-                            let out =
-                                decide_request(members, staged, thresholds, &r.image, |_| match r
-                                    .deadline
-                                {
-                                    Some(d) => Instant::now() < d,
-                                    None => true,
-                                });
-                            (out, Instant::now())
-                        })
-                        // pgmr-lint: allow(hot-path-alloc): per-shard outcome marshalling — one Vec per shard per batch, not per image
-                        .collect::<Vec<_>>()
-                }
-            })
-            // pgmr-lint: allow(hot-path-alloc): per-batch job list, bounded by replica count
-            .collect();
-        // pgmr-lint: allow(nested-pool-run): false cross-crate edge — polygraph-mr does not depend on pgmr-serve, so no core job closure can reach this dedicated-pool dispatch
-        // pgmr-lint: allow(hot-path-alloc): per-batch outcome concatenation, bounded by batch size
-        let outcomes: Vec<_> = self.pool.run(jobs).into_iter().flatten().collect();
+        // Each shard runs its requests in order on its own replica set, so
+        // folding the outcomes in order reproduces the sequential fold.
+        let engine = &self.engine;
+        let outcomes = shard_requests(&self.pool, &mut self.replicas, &batch, |members, r| {
+            let in_time = |_| r.deadline.is_none_or(|d| Instant::now() < d);
+            (engine.forwards(members, &r.image, in_time), Instant::now())
+        });
 
         let mut stats = self.shared.stats.lock().expect(POISONED);
         stats.batches += 1;
         stats.max_batch_observed = stats.max_batch_observed.max(batch.len() as u64);
-        for (r, (out, finished)) in batch.into_iter().zip(outcomes) {
+        for (r, (forwards, finished)) in batch.into_iter().zip(outcomes) {
+            let out = self.engine.fold(forwards);
+            for event in self.engine.drain_fault_events() {
+                if let FaultEvent::Quarantined { member, .. } = event {
+                    self.monitor.note_quarantine(member);
+                }
+            }
             let degraded = out.budget_exhausted;
             let missed = degraded || r.deadline.is_some_and(|d| finished > d);
             let latency = finished.duration_since(r.submitted);

@@ -220,3 +220,56 @@ fn latency_is_recorded_in_nanoseconds() {
     let line = deterministic.lines().find(|l| l.contains("\"serve.latency_ns\"")).unwrap();
     assert!(line.contains("\"unit\": \"ns\"") && !line.contains("\"sum\""), "{line}");
 }
+
+#[test]
+fn serve_runs_the_fault_policy_like_sequential_guarded_inference() {
+    use pgmr_faults::{inject_weights, FaultSpec, EXPONENT_BITS};
+    use polygraph_mr::FaultPolicy;
+    let (clean, test) = trained_members();
+    let images = &test.images()[..30];
+    let guarded = |members: Vec<Member>| {
+        let mut system = PolygraphSystem::new(Ensemble::new(members), Thresholds::new(0.4, 2));
+        system.set_fault_policy(Some(FaultPolicy::default()));
+        system
+    };
+    let quarantines = || pgmr_obs::global().counter("monitor.quarantines_total").get();
+
+    for corrupted in [false, true] {
+        let mut members = clean.clone();
+        if corrupted {
+            // Persistent weight corruption keeps member 2's checksums
+            // consistent; the solo-disagreement detector quarantines it.
+            let spec = FaultSpec::persistent_weights(17, 0.02).with_bits(EXPONENT_BITS);
+            inject_weights(members[2].network_mut(), &spec);
+        }
+        let mut reference = guarded(members.clone());
+        let expected: Vec<_> = images.iter().map(|img| reference.infer_counted(img)).collect();
+        assert_eq!(reference.quarantined(), if corrupted { vec![2] } else { vec![] });
+
+        let before = quarantines();
+        let handle = ServeHandle::spawn(
+            &guarded(members),
+            ServeConfig {
+                max_batch: 4,
+                max_delay: Duration::from_millis(20),
+                workers: 3,
+                monitor_window: 16,
+                ..ServeConfig::default()
+            },
+        );
+        let ids: Vec<_> = images.iter().map(|img| handle.submit(img.clone(), None)).collect();
+        let done = handle.drain(images.len());
+        assert_eq!(done.iter().map(|c| c.id).collect::<Vec<_>>(), ids);
+        for (c, e) in done.iter().zip(&expected) {
+            assert_eq!(c.decision, *e, "guarded serve diverged from sequential inference");
+            assert!(!c.deadline_degraded, "open deadlines must never degrade");
+        }
+        let stats = handle.shutdown();
+        assert_eq!(stats.deadline_degraded, 0);
+        assert_eq!(
+            quarantines() - before,
+            reference.quarantined().len() as u64,
+            "the serve monitor must see every quarantine"
+        );
+    }
+}
