@@ -19,7 +19,7 @@ use pgmr_faults::{
     guarded_sites, run_activation_campaign, run_weight_campaign, CampaignConfig, ProfileConfig,
     SiteFilter, ANY_BIT, EXPONENT_BITS,
 };
-use pgmr_nn::{CheckPlan, ProtectionLevel};
+use pgmr_nn::{CheckPlan, ProtectionLevel, WorkerPool};
 use pgmr_preprocess::Preprocessor;
 use polygraph_mr::suite::Benchmark;
 use std::time::Instant;
@@ -72,8 +72,9 @@ fn main() {
                 net,
                 &inputs,
                 &CampaignConfig { checksums: false, ..base.clone() },
+                &WorkerPool::new(1),
             );
-            let abft = run_activation_campaign(net, &inputs, &base);
+            let abft = run_activation_campaign(net, &inputs, &base, &WorkerPool::new(1));
             println!(
                 "{:>8.0e} {:>5} {:>12.2} {:>12.2} {:>12.2} {:>10.2}",
                 rate,
@@ -93,7 +94,7 @@ fn main() {
     for rate in [1e-3, 1e-2] {
         let cfg =
             CampaignConfig { trials, seed, rate, bits: EXPONENT_BITS, ..CampaignConfig::default() };
-        let report = run_weight_campaign(net, &inputs, &cfg);
+        let report = run_weight_campaign(net, &inputs, &cfg, &WorkerPool::new(1));
         println!(
             "  rate {:>6.0e}: sdc {:>6.2}%  detected {:>6.2}%  (flips/trial {:.1})",
             rate,
@@ -156,7 +157,7 @@ fn main() {
                 plan: Some(plan.clone()),
                 ..CampaignConfig::default()
             };
-            let report = run_activation_campaign(net, &inputs, &cfg);
+            let report = run_activation_campaign(net, &inputs, &cfg, &WorkerPool::new(1));
             // Clean-path throughput of this plan (wall clock, informational:
             // the gate below uses the deterministic checked-layer count).
             let reps = 3;

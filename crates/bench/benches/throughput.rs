@@ -5,7 +5,7 @@
 //! worker pool on the two batch-shaped hot paths it powers — sharded
 //! system evaluation ([`polygraph_mr::system::PolygraphSystem::evaluate_batch`])
 //! and trial-sharded fault campaigns
-//! ([`pgmr_faults::run_activation_campaign_with`]) — at pool widths 1
+//! ([`pgmr_faults::run_activation_campaign`]) — at pool widths 1
 //! (sequential), 2, 4, and 8. Every pooled run is verified bit-identical
 //! to the sequential baseline before its timing is reported.
 //!
@@ -38,7 +38,7 @@ use std::time::Instant;
 use pgmr_bench::alloc_counter::{self, CountingAlloc};
 use pgmr_bench::{banner, scale};
 use pgmr_datasets::Split;
-use pgmr_faults::{run_activation_campaign, run_activation_campaign_with, CampaignConfig};
+use pgmr_faults::{run_activation_campaign, CampaignConfig};
 use pgmr_nn::WorkerPool;
 use pgmr_precision::quant::{IntKind, QuantizedLinear};
 use pgmr_precision::Precision;
@@ -259,12 +259,12 @@ fn main() {
     let cfg = CampaignConfig { trials: 200, seed: 2020, rate: 1e-3, ..CampaignConfig::default() };
     let net = system.ensemble_mut().members_mut()[0].network_mut();
     let (seq_report, seq_camp_rate) =
-        time(cfg.trials, || run_activation_campaign(net, &inputs, &cfg));
+        time(cfg.trials, || run_activation_campaign(net, &inputs, &cfg, &WorkerPool::new(1)));
     let mut camp_rates = Vec::new();
     for width in POOL_WIDTHS {
         let pool = WorkerPool::new(width);
         let (report, rate) =
-            time(cfg.trials, || run_activation_campaign_with(net, &inputs, &cfg, &pool));
+            time(cfg.trials, || run_activation_campaign(net, &inputs, &cfg, &pool));
         assert_eq!(report, seq_report, "pooled campaign diverged at width {width}");
         camp_rates.push((width, rate));
     }

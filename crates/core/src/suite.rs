@@ -496,23 +496,6 @@ pub fn set_cache_dir(dir: Option<PathBuf>) {
     *CACHE_DIR_OVERRIDE.lock().expect("cache-dir override mutex poisoned") = dir;
 }
 
-/// Overrides the worker-thread count of the workspace's shared pool,
-/// process-wide and thread-safe — the suite-config analogue of
-/// [`set_cache_dir`] (no `std::env::set_var`, which is unsound with
-/// concurrent environment reads). `None` restores the default resolution:
-/// the `PGMR_THREADS` environment variable, then the host's available
-/// parallelism. Must be called before the shared pool's first use to
-/// affect its width; see [`pgmr_nn::pool::global`].
-pub fn set_threads(threads: Option<usize>) {
-    pgmr_nn::pool::set_thread_override(threads);
-}
-
-/// The worker-thread count the shared pool resolves right now (override,
-/// else `PGMR_THREADS`, else host parallelism).
-pub fn configured_threads() -> usize {
-    pgmr_nn::pool::configured_threads()
-}
-
 /// Where trained-member blobs are cached. Override at runtime with
 /// [`set_cache_dir`] or at launch with `PGMR_CACHE_DIR`; defaults to
 /// `<workspace>/target/pgmr-model-cache` (falling back to the OS temp dir

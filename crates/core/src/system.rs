@@ -10,7 +10,7 @@ use crate::stream::ReliabilityMonitor;
 use pgmr_datasets::Dataset;
 use pgmr_faults::VulnerabilityProfile;
 use pgmr_metrics::RateSummary;
-use pgmr_nn::pool::{shard_ranges, WorkerPool};
+use pgmr_nn::pool::WorkerPool;
 use pgmr_nn::ProtectionLevel;
 use pgmr_tensor::argmax;
 use pgmr_tensor::checksum::{ChecksumFault, DEFAULT_TOLERANCE};
@@ -145,7 +145,7 @@ pub enum Forwards {
 /// core: it runs the member forward passes on any replica of the
 /// ensemble and only reads the state. [`RequestEngine::fold`] then applies
 /// the outcome to the state. Batch callers run the core on input shards
-/// ([`shard_requests`]) and fold the outcomes in submission order. That is
+/// ([`WorkerPool::shard_map`]) and fold the outcomes in submission order. That is
 /// bit-identical to core-then-fold per input: forward passes are
 /// deterministic, and the fold drops the outcome of a member quarantined
 /// earlier in the same batch, which the sequential path would not have run.
@@ -321,32 +321,6 @@ impl RequestEngine {
             self.solo.resize(n, 0);
         }
     }
-}
-
-/// Runs `each` over `items` on `pool`, in submission-order shards, one per
-/// replica set in `replicas`, and returns the results in item order — the
-/// batch shape of [`PolygraphSystem::infer_batch`] and of the serving
-/// front-end. Each shard runs its items in order on its own replicas.
-pub fn shard_requests<T: Sync, R: Send>(
-    pool: &WorkerPool,
-    replicas: &mut [Vec<Member>],
-    items: &[T],
-    each: impl Fn(&mut [Member], &T) -> R + Sync,
-) -> Vec<R> {
-    let each = &each;
-    let jobs: Vec<_> = shard_ranges(items.len(), replicas.len())
-        .into_iter()
-        .zip(replicas)
-        .map(|(range, members)| {
-            move || {
-                // pgmr-lint: allow(hot-path-alloc): per-shard outcome marshalling — one Vec per shard per batch, not per image
-                items[range].iter().map(|item| each(members, item)).collect::<Vec<_>>()
-            }
-        })
-        // pgmr-lint: allow(hot-path-alloc): per-batch job list, bounded by replica count
-        .collect();
-    // pgmr-lint: allow(hot-path-alloc): per-batch outcome concatenation, bounded by batch size
-    pool.run(jobs).into_iter().flatten().collect()
 }
 
 /// A deployable PolygraphMR system (Fig. 4): Layer-1 preprocessors and
@@ -597,7 +571,7 @@ impl PolygraphSystem {
         let mut replicas: Vec<Vec<Member>> =
             (0..pool.threads().min(images.len())).map(|_| members.to_vec()).collect();
         let engine = &self.engine;
-        let forwards = shard_requests(pool, &mut replicas, images, |replica, img| {
+        let forwards = pool.shard_map(&mut replicas, images, |replica, img| {
             engine.forwards(replica, img, |_| true)
         });
         forwards.into_iter().map(|f| self.engine.fold(f).decision).collect()

@@ -5,7 +5,7 @@
 use std::collections::BTreeMap;
 use std::ops::RangeInclusive;
 
-use pgmr_nn::pool::{shard_ranges, WorkerPool};
+use pgmr_nn::pool::WorkerPool;
 use pgmr_nn::{CheckPlan, Network};
 use pgmr_tensor::{argmax, Tensor};
 
@@ -276,108 +276,73 @@ fn tally(trials: usize, outcomes: impl IntoIterator<Item = TrialResult>) -> Camp
 /// per-site flips)`.
 type TrialFn = fn(&mut Network, &[Tensor], &CampaignConfig, &[usize], usize) -> TrialResult;
 
-/// Runs a campaign with per-shard network clones on `pool`. Each trial is
-/// independently seeded, so the merged report is identical to the
-/// sequential loop.
-fn run_campaign_sharded(
+/// Clones `net` once per shard (at least once) and takes the fault-free
+/// prediction of every input on the first clone: trials only ever touch
+/// clones, so the caller's network is never modified.
+fn replicas(net: &Network, inputs: &[Tensor], shards: usize) -> (Vec<Network>, Vec<usize>) {
+    assert!(!inputs.is_empty(), "campaign needs at least one input");
+    let mut nets = vec![net.clone(); shards.max(1)];
+    let golden = inputs.iter().map(|x| argmax(nets[0].forward(x, false).data())).collect();
+    (nets, golden)
+}
+
+/// The trial loop shared by both campaigns: trials shard across `pool`
+/// onto per-shard network clones. Each trial is seeded from its index
+/// alone and the tally commutes, so the report is the same at every pool
+/// width.
+fn run_campaign(
     net: &Network,
     inputs: &[Tensor],
     cfg: &CampaignConfig,
-    golden: &[usize],
     pool: &WorkerPool,
     trial: TrialFn,
 ) -> CampaignReport {
-    let jobs: Vec<_> = shard_ranges(cfg.trials, pool.threads())
-        .into_iter()
-        .map(|range| {
-            let mut net = net.clone();
-            move || range.map(|t| trial(&mut net, inputs, cfg, golden, t)).collect::<Vec<_>>()
-        })
-        .collect();
-    tally(cfg.trials, pool.run(jobs).into_iter().flatten())
+    let (mut nets, golden) = replicas(net, inputs, pool.threads().min(cfg.trials));
+    let trials: Vec<usize> = (0..cfg.trials).collect();
+    let outcomes =
+        pool.shard_map(&mut nets, &trials, |net, &t| trial(net, inputs, cfg, &golden, t));
+    tally(cfg.trials, outcomes)
 }
 
-/// Runs `cfg.trials` transient activation-fault trials against `net`,
-/// cycling through `inputs`. Each trial compares the faulty prediction to
-/// the fault-free prediction on the same input; with checksums on, a
-/// verification failure counts as [`TrialOutcome::Detected`].
+/// Runs `cfg.trials` transient activation-fault trials against clones of
+/// `net` on `pool`, cycling through `inputs`. Each trial compares the
+/// faulty prediction to the fault-free prediction on the same input; with
+/// checksums on, a verification failure counts as
+/// [`TrialOutcome::Detected`]. The report is identical at every pool
+/// width; `WorkerPool::new(1)` runs the trials sequentially.
 ///
 /// # Panics
 ///
 /// Panics if `inputs` is empty.
 pub fn run_activation_campaign(
-    net: &mut Network,
-    inputs: &[Tensor],
-    cfg: &CampaignConfig,
-) -> CampaignReport {
-    assert!(!inputs.is_empty(), "campaign needs at least one input");
-    let golden: Vec<usize> = inputs.iter().map(|x| argmax(net.forward(x, false).data())).collect();
-    tally(cfg.trials, (0..cfg.trials).map(|t| activation_trial(net, inputs, cfg, &golden, t)))
-}
-
-/// [`run_activation_campaign`], with trials sharded across `pool` on
-/// per-worker network clones. Trial seeds depend only on the trial index,
-/// so the report is bit-identical to the sequential runner.
-///
-/// # Panics
-///
-/// Panics if `inputs` is empty.
-pub fn run_activation_campaign_with(
-    net: &mut Network,
+    net: &Network,
     inputs: &[Tensor],
     cfg: &CampaignConfig,
     pool: &WorkerPool,
 ) -> CampaignReport {
-    assert!(!inputs.is_empty(), "campaign needs at least one input");
-    if pool.threads() == 1 || cfg.trials < 2 {
-        return run_activation_campaign(net, inputs, cfg);
-    }
-    let golden: Vec<usize> = inputs.iter().map(|x| argmax(net.forward(x, false).data())).collect();
-    run_campaign_sharded(net, inputs, cfg, &golden, pool, activation_trial)
+    run_campaign(net, inputs, cfg, pool, activation_trial)
 }
 
-/// Runs `cfg.trials` weight-fault trials: each trial injects persistent
-/// flips, evaluates one input, then repairs the network. Because the ABFT
-/// checksums are derived from the corrupted weights they stay consistent,
-/// so with `cfg.checksums` on, weight faults still surface as
-/// [`TrialOutcome::Sdc`] as long as the arithmetic stays finite (flips
-/// violent enough to overflow into `inf`/`NaN` do trip verification) —
-/// the experimental evidence that weight corruption needs ensemble-level
-/// quarantine rather than checksums.
+/// Runs `cfg.trials` weight-fault trials against clones of `net` on
+/// `pool`: each trial injects persistent flips, evaluates one input, then
+/// repairs its clone. Because the ABFT checksums are derived from the
+/// corrupted weights they stay consistent, so with `cfg.checksums` on,
+/// weight faults still surface as [`TrialOutcome::Sdc`] as long as the
+/// arithmetic stays finite (flips violent enough to overflow into
+/// `inf`/`NaN` do trip verification) — the experimental evidence that
+/// weight corruption needs ensemble-level quarantine rather than
+/// checksums. The report is identical at every pool width.
 ///
 /// # Panics
 ///
 /// Panics if `inputs` is empty.
 pub fn run_weight_campaign(
-    net: &mut Network,
-    inputs: &[Tensor],
-    cfg: &CampaignConfig,
-) -> CampaignReport {
-    assert!(!inputs.is_empty(), "campaign needs at least one input");
-    let golden: Vec<usize> = inputs.iter().map(|x| argmax(net.forward(x, false).data())).collect();
-    tally(cfg.trials, (0..cfg.trials).map(|t| weight_trial(net, inputs, cfg, &golden, t)))
-}
-
-/// [`run_weight_campaign`], with trials sharded across `pool` on
-/// per-worker network clones. Each shard injects into and repairs its own
-/// clone, so the caller's network is untouched and the merged report is
-/// bit-identical to the sequential runner.
-///
-/// # Panics
-///
-/// Panics if `inputs` is empty.
-pub fn run_weight_campaign_with(
-    net: &mut Network,
+    net: &Network,
     inputs: &[Tensor],
     cfg: &CampaignConfig,
     pool: &WorkerPool,
 ) -> CampaignReport {
-    assert!(!inputs.is_empty(), "campaign needs at least one input");
-    if pool.threads() == 1 || cfg.trials < 2 {
-        return run_weight_campaign(net, inputs, cfg);
-    }
-    let golden: Vec<usize> = inputs.iter().map(|x| argmax(net.forward(x, false).data())).collect();
-    run_campaign_sharded(net, inputs, cfg, &golden, pool, weight_trial)
+    run_campaign(net, inputs, cfg, pool, weight_trial)
 }
 
 /// Parameters of an MRFI-style per-site resolution sweep: instead of one
@@ -471,111 +436,59 @@ fn merge_site_reports(cfg: &SiteSweepConfig, reports: Vec<CampaignReport>) -> Ca
     merged
 }
 
-/// One full campaign: `(net, inputs, cfg) → report`.
-type CampaignFn = fn(&mut Network, &[Tensor], &CampaignConfig) -> CampaignReport;
-
+/// Shards the sweep's sites across `pool` onto network clones. A job runs
+/// each of its sites' confined campaigns inline, never dispatching again;
+/// site campaigns are independently seeded and merged by site index, so
+/// the report is the same at every pool width.
 fn run_site_sweep(
-    net: &mut Network,
-    inputs: &[Tensor],
-    cfg: &SiteSweepConfig,
-    runner: CampaignFn,
-) -> CampaignReport {
-    assert!(!inputs.is_empty(), "site sweep needs at least one input");
-    assert!(!cfg.sites.is_empty(), "site sweep needs at least one site");
-    let reports = cfg
-        .sites
-        .iter()
-        .map(|&s| runner(net, inputs, &site_campaign_config(cfg, s)))
-        .collect::<Vec<_>>();
-    merge_site_reports(cfg, reports)
-}
-
-fn run_site_sweep_with(
     net: &Network,
     inputs: &[Tensor],
     cfg: &SiteSweepConfig,
     pool: &WorkerPool,
-    runner: CampaignFn,
+    trial: TrialFn,
 ) -> CampaignReport {
-    assert!(!inputs.is_empty(), "site sweep needs at least one input");
     assert!(!cfg.sites.is_empty(), "site sweep needs at least one site");
-    let jobs: Vec<_> = cfg
-        .sites
-        .iter()
-        .map(|&s| {
-            let mut net = net.clone();
-            let site_cfg = site_campaign_config(cfg, s);
-            move || runner(&mut net, inputs, &site_cfg)
-        })
-        .collect();
-    merge_site_reports(cfg, pool.run(jobs))
+    let (mut nets, golden) = replicas(net, inputs, pool.threads().min(cfg.sites.len()));
+    let reports = pool.shard_map(&mut nets, &cfg.sites, |net, &site| {
+        let site_cfg = site_campaign_config(cfg, site);
+        tally(
+            site_cfg.trials,
+            (0..site_cfg.trials).map(|t| trial(net, inputs, &site_cfg, &golden, t)),
+        )
+    });
+    merge_site_reports(cfg, reports)
 }
 
 /// Sweeps transient activation faults one site at a time (see
-/// [`SiteSweepConfig`]). The merged report carries a [`SiteTally`] for
-/// every swept site; aggregate counters sum over all per-site campaigns.
+/// [`SiteSweepConfig`]) on `pool`. The merged report carries a
+/// [`SiteTally`] for every swept site; aggregate counters sum over all
+/// per-site campaigns.
 ///
 /// # Panics
 ///
 /// Panics if `inputs` or `cfg.sites` is empty.
 pub fn run_activation_site_sweep(
-    net: &mut Network,
-    inputs: &[Tensor],
-    cfg: &SiteSweepConfig,
-) -> CampaignReport {
-    run_site_sweep(net, inputs, cfg, run_activation_campaign)
-}
-
-/// [`run_activation_site_sweep`], sharded one site per pool job on
-/// per-worker network clones. Site campaigns are independently seeded and
-/// merged by site index, so the report is bit-identical to the sequential
-/// sweep.
-///
-/// # Panics
-///
-/// Panics if `inputs` or `cfg.sites` is empty.
-pub fn run_activation_site_sweep_with(
-    net: &mut Network,
+    net: &Network,
     inputs: &[Tensor],
     cfg: &SiteSweepConfig,
     pool: &WorkerPool,
 ) -> CampaignReport {
-    if pool.threads() == 1 || cfg.sites.len() < 2 {
-        return run_activation_site_sweep(net, inputs, cfg);
-    }
-    run_site_sweep_with(net, inputs, cfg, pool, run_activation_campaign)
+    run_site_sweep(net, inputs, cfg, pool, activation_trial)
 }
 
-/// Sweeps persistent weight faults one parameter slot at a time; sites
-/// are [`pgmr_nn::ParamSlot`] indices in visit order.
+/// Sweeps persistent weight faults one parameter slot at a time on
+/// `pool`; sites are [`pgmr_nn::ParamSlot`] indices in visit order.
 ///
 /// # Panics
 ///
 /// Panics if `inputs` or `cfg.sites` is empty.
 pub fn run_weight_site_sweep(
-    net: &mut Network,
-    inputs: &[Tensor],
-    cfg: &SiteSweepConfig,
-) -> CampaignReport {
-    run_site_sweep(net, inputs, cfg, run_weight_campaign)
-}
-
-/// [`run_weight_site_sweep`], sharded one site per pool job on per-worker
-/// network clones; bit-identical to the sequential sweep.
-///
-/// # Panics
-///
-/// Panics if `inputs` or `cfg.sites` is empty.
-pub fn run_weight_site_sweep_with(
-    net: &mut Network,
+    net: &Network,
     inputs: &[Tensor],
     cfg: &SiteSweepConfig,
     pool: &WorkerPool,
 ) -> CampaignReport {
-    if pool.threads() == 1 || cfg.sites.len() < 2 {
-        return run_weight_site_sweep(net, inputs, cfg);
-    }
-    run_site_sweep_with(net, inputs, cfg, pool, run_weight_campaign)
+    run_site_sweep(net, inputs, cfg, pool, weight_trial)
 }
 
 #[cfg(test)]
@@ -603,45 +516,41 @@ mod tests {
 
     #[test]
     fn campaigns_are_deterministic_across_runs() {
-        let (mut net, inputs) = net_and_inputs();
+        let (net, inputs) = net_and_inputs();
         let cfg = CampaignConfig { trials: 40, seed: 123, rate: 5e-3, ..Default::default() };
-        let a = run_activation_campaign(&mut net, &inputs, &cfg);
-        let b = run_activation_campaign(&mut net, &inputs, &cfg);
+        let a = run_activation_campaign(&net, &inputs, &cfg, &WorkerPool::new(1));
+        let b = run_activation_campaign(&net, &inputs, &cfg, &WorkerPool::new(1));
         assert_eq!(a, b);
-        let c = run_weight_campaign(&mut net, &inputs, &cfg);
-        let d = run_weight_campaign(&mut net, &inputs, &cfg);
+        let c = run_weight_campaign(&net, &inputs, &cfg, &WorkerPool::new(1));
+        let d = run_weight_campaign(&net, &inputs, &cfg, &WorkerPool::new(1));
         assert_eq!(c, d);
     }
 
     #[test]
     fn parallel_campaigns_are_bit_identical_to_sequential() {
-        use pgmr_nn::WorkerPool;
-        let (mut net, inputs) = net_and_inputs();
+        let (net, inputs) = net_and_inputs();
         let cfg = CampaignConfig { trials: 37, seed: 99, rate: 5e-3, ..Default::default() };
-        let seq_act = run_activation_campaign(&mut net, &inputs, &cfg);
-        let seq_wt = run_weight_campaign(&mut net, &inputs, &cfg);
-        for width in [2, 4] {
+        let solo = WorkerPool::new(1);
+        let seq_act = run_activation_campaign(&net, &inputs, &cfg, &solo);
+        let seq_wt = run_weight_campaign(&net, &inputs, &cfg, &solo);
+        for width in [2, 3, 4] {
             let pool = WorkerPool::new(width);
             assert_eq!(
-                run_activation_campaign_with(&mut net, &inputs, &cfg, &pool),
+                run_activation_campaign(&net, &inputs, &cfg, &pool),
                 seq_act,
                 "activation campaign diverged at width {width}"
             );
             assert_eq!(
-                run_weight_campaign_with(&mut net, &inputs, &cfg, &pool),
+                run_weight_campaign(&net, &inputs, &cfg, &pool),
                 seq_wt,
                 "weight campaign diverged at width {width}"
             );
         }
-        // Width 1 takes the sequential fast path; it must agree too.
-        let solo = WorkerPool::new(1);
-        assert_eq!(run_activation_campaign_with(&mut net, &inputs, &cfg, &solo), seq_act);
-        assert_eq!(run_weight_campaign_with(&mut net, &inputs, &cfg, &solo), seq_wt);
     }
 
     #[test]
     fn checksums_catch_guarded_exponent_flips() {
-        let (mut net, inputs) = net_and_inputs();
+        let (net, inputs) = net_and_inputs();
         let cfg = CampaignConfig {
             trials: 120,
             seed: 7,
@@ -650,7 +559,7 @@ mod tests {
             sites: SiteFilter::Only(guarded_sites(&net)),
             ..Default::default()
         };
-        let report = run_activation_campaign(&mut net, &inputs, &cfg);
+        let report = run_activation_campaign(&net, &inputs, &cfg, &WorkerPool::new(1));
         assert!(report.injected > 0, "rate too low, nothing injected");
         assert!(
             report.detection_rate() >= 0.95,
@@ -663,7 +572,7 @@ mod tests {
 
     #[test]
     fn unguarded_run_suffers_more_sdc() {
-        let (mut net, inputs) = net_and_inputs();
+        let (net, inputs) = net_and_inputs();
         let base = CampaignConfig {
             trials: 150,
             seed: 21,
@@ -672,11 +581,12 @@ mod tests {
             sites: SiteFilter::Only(guarded_sites(&net)),
             ..Default::default()
         };
-        let guarded = run_activation_campaign(&mut net, &inputs, &base);
+        let guarded = run_activation_campaign(&net, &inputs, &base, &WorkerPool::new(1));
         let unguarded = run_activation_campaign(
-            &mut net,
+            &net,
             &inputs,
             &CampaignConfig { checksums: false, ..base },
+            &WorkerPool::new(1),
         );
         assert!(
             guarded.sdc < unguarded.sdc || unguarded.sdc == 0,
@@ -688,7 +598,7 @@ mod tests {
 
     #[test]
     fn weight_faults_evade_checksums() {
-        let (mut net, inputs) = net_and_inputs();
+        let (net, inputs) = net_and_inputs();
         let cfg = CampaignConfig {
             trials: 60,
             seed: 3,
@@ -696,7 +606,7 @@ mod tests {
             bits: EXPONENT_BITS,
             ..Default::default()
         };
-        let report = run_weight_campaign(&mut net, &inputs, &cfg);
+        let report = run_weight_campaign(&net, &inputs, &cfg, &WorkerPool::new(1));
         assert!(report.injected > 0);
         // ABFT checksums are derived from the (corrupted) weights, so they
         // stay consistent: nothing is detected, corruption is silent.
@@ -730,7 +640,7 @@ mod tests {
 
     #[test]
     fn per_site_tallies_sum_to_aggregates_and_respect_filters() {
-        let (mut net, inputs) = net_and_inputs();
+        let (net, inputs) = net_and_inputs();
         let cfg = CampaignConfig {
             trials: 60,
             seed: 11,
@@ -738,7 +648,7 @@ mod tests {
             sites: SiteFilter::Only(vec![1]),
             ..Default::default()
         };
-        let report = run_activation_campaign(&mut net, &inputs, &cfg);
+        let report = run_activation_campaign(&net, &inputs, &cfg, &WorkerPool::new(1));
         assert!(report.injected > 0);
         // Injection was confined to site 1, so the resolution must be too.
         assert_eq!(report.per_site.len(), 1);
@@ -754,8 +664,7 @@ mod tests {
 
     #[test]
     fn per_site_resolution_commutes_across_shards() {
-        use pgmr_nn::WorkerPool;
-        let (mut net, inputs) = net_and_inputs();
+        let (net, inputs) = net_and_inputs();
         let cfg = CampaignConfig {
             trials: 41,
             seed: 17,
@@ -763,23 +672,22 @@ mod tests {
             bits: EXPONENT_BITS,
             ..Default::default()
         };
-        let seq = run_activation_campaign(&mut net, &inputs, &cfg);
+        let solo = WorkerPool::new(1);
+        let seq = run_activation_campaign(&net, &inputs, &cfg, &solo);
         assert!(seq.per_site.len() > 1, "multi-site run should resolve several sites");
-        for width in [2, 4] {
+        let wt_seq = run_weight_campaign(&net, &inputs, &cfg, &solo);
+        assert!(!wt_seq.per_site.is_empty());
+        for width in [2, 3, 4] {
             let pool = WorkerPool::new(width);
             // Full-report Eq covers the per-site vectors too.
-            assert_eq!(run_activation_campaign_with(&mut net, &inputs, &cfg, &pool), seq);
+            assert_eq!(run_activation_campaign(&net, &inputs, &cfg, &pool), seq);
+            assert_eq!(run_weight_campaign(&net, &inputs, &cfg, &pool), wt_seq);
         }
-        let wt_seq = run_weight_campaign(&mut net, &inputs, &cfg);
-        assert!(!wt_seq.per_site.is_empty());
-        let pool = WorkerPool::new(3);
-        assert_eq!(run_weight_campaign_with(&mut net, &inputs, &cfg, &pool), wt_seq);
     }
 
     #[test]
     fn site_sweep_measures_every_site_and_matches_pooled() {
-        use pgmr_nn::WorkerPool;
-        let (mut net, inputs) = net_and_inputs();
+        let (net, inputs) = net_and_inputs();
         let cfg = SiteSweepConfig {
             trials_per_site: 25,
             seed: 29,
@@ -788,22 +696,64 @@ mod tests {
             sites: guarded_sites(&net),
             ..Default::default()
         };
-        let seq = run_activation_site_sweep(&mut net, &inputs, &cfg);
+        let seq = run_activation_site_sweep(&net, &inputs, &cfg, &WorkerPool::new(1));
         assert_eq!(seq.trials, cfg.trials_per_site * cfg.sites.len());
         // Every swept site has an entry, in sorted order.
         let swept: Vec<usize> = seq.per_site.iter().map(|t| t.site).collect();
         assert_eq!(swept, cfg.sites, "one tally per swept site, site-sorted");
-        for width in [2, 4] {
+        for width in [2, 3, 4] {
             let pool = WorkerPool::new(width);
-            let par = run_activation_site_sweep_with(&mut net, &inputs, &cfg, &pool);
+            let par = run_activation_site_sweep(&net, &inputs, &cfg, &pool);
             assert_eq!(par, seq, "site-sharded sweep diverged at width {width}");
         }
     }
 
     #[test]
+    fn weight_site_sweep_is_width_independent_and_campaigns_leave_the_caller_intact() {
+        use pgmr_nn::serialize::encode_params;
+        use pgmr_nn::StoredModel;
+        let (mut net, inputs) = net_and_inputs();
+        // Borrow the weights from a shared arena: an injection that
+        // skipped copy-on-write would corrupt the caller through it.
+        let stored = StoredModel::from_blob(&encode_params(&mut net)).unwrap();
+        stored.attach(&mut net).unwrap();
+        let bits = |net: &mut Network| -> Vec<u32> {
+            net.state_dict().iter().flat_map(|t| t.data().iter().map(|v| v.to_bits())).collect()
+        };
+        let before = bits(&mut net);
+        let mut slots = 0;
+        net.visit_slots(&mut |_| slots += 1);
+        let cfg = SiteSweepConfig {
+            trials_per_site: 12,
+            seed: 31,
+            rate: 1e-2,
+            bits: EXPONENT_BITS,
+            sites: (0..slots).collect(),
+            ..Default::default()
+        };
+        let seq = run_weight_site_sweep(&net, &inputs, &cfg, &WorkerPool::new(1));
+        assert!(seq.injected > 0, "rate too low, nothing injected");
+        assert_eq!(seq.trials, cfg.trials_per_site * slots);
+        let swept: Vec<usize> = seq.per_site.iter().map(|t| t.site).collect();
+        assert_eq!(swept, cfg.sites, "one tally per swept slot, slot-sorted");
+        assert_eq!(run_weight_site_sweep(&net, &inputs, &cfg, &WorkerPool::new(3)), seq);
+
+        let campaign = CampaignConfig {
+            trials: 30,
+            seed: 5,
+            rate: 1e-2,
+            bits: EXPONENT_BITS,
+            ..Default::default()
+        };
+        let report = run_weight_campaign(&net, &inputs, &campaign, &WorkerPool::new(3));
+        assert!(report.injected > 0);
+        assert_eq!(bits(&mut net), before, "a weight campaign must leave the caller's bits alone");
+    }
+
+    #[test]
     fn plan_aware_campaign_detects_less_when_checks_are_off() {
         use pgmr_nn::CheckPlan;
-        let (mut net, inputs) = net_and_inputs();
+        let (net, inputs) = net_and_inputs();
         let base = CampaignConfig {
             trials: 120,
             seed: 7,
@@ -815,12 +765,12 @@ mod tests {
         let full_plan =
             CampaignConfig { plan: Some(CheckPlan::full(net.num_layers())), ..base.clone() };
         // A full plan is the uniformly-checked forward: identical report.
-        let uniform = run_activation_campaign(&mut net, &inputs, &base);
-        let planned = run_activation_campaign(&mut net, &inputs, &full_plan);
+        let uniform = run_activation_campaign(&net, &inputs, &base, &WorkerPool::new(1));
+        let planned = run_activation_campaign(&net, &inputs, &full_plan, &WorkerPool::new(1));
         assert_eq!(uniform, planned);
         // An empty plan verifies nothing: no trial can end in Detected.
         let off_plan = CampaignConfig { plan: Some(CheckPlan::off(net.num_layers())), ..base };
-        let off = run_activation_campaign(&mut net, &inputs, &off_plan);
+        let off = run_activation_campaign(&net, &inputs, &off_plan, &WorkerPool::new(1));
         assert_eq!(off.detected, 0, "nothing is checked, nothing can be detected");
         assert!(uniform.detected > 0);
     }

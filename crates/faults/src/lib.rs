@@ -20,6 +20,13 @@
 //! against the same network and inputs injects bit-identical faults, which
 //! makes campaign reports reproducible across runs and machines.
 //!
+//! Campaigns and per-site sweeps take a [`pgmr_nn::WorkerPool`]: their
+//! trials (or sites) shard onto network clones through
+//! [`WorkerPool::shard_map`](pgmr_nn::WorkerPool::shard_map), and each
+//! trial is seeded from its index alone, so a report is identical at every
+//! pool width. `WorkerPool::new(1)` is the sequential run, and the
+//! caller's network is never modified.
+//!
 //! ## Example
 //!
 //! ```
@@ -39,10 +46,8 @@ pub mod inject;
 pub mod profile;
 
 pub use campaign::{
-    run_activation_campaign, run_activation_campaign_with, run_activation_site_sweep,
-    run_activation_site_sweep_with, run_weight_campaign, run_weight_campaign_with,
-    run_weight_site_sweep, run_weight_site_sweep_with, CampaignConfig, CampaignReport,
-    SiteSweepConfig, SiteTally, TrialOutcome,
+    run_activation_campaign, run_activation_site_sweep, run_weight_campaign, run_weight_site_sweep,
+    CampaignConfig, CampaignReport, SiteSweepConfig, SiteTally, TrialOutcome,
 };
 pub use inject::{
     flip_bit, guarded_sites, inject_weights, repair_weights, ActivationInjector, FaultMode,

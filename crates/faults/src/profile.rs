@@ -33,7 +33,7 @@ use pgmr_nn::serialize::fnv1a;
 use pgmr_nn::{CheckPlan, Network, ProtectionLevel};
 use pgmr_tensor::Tensor;
 
-use crate::campaign::{run_activation_site_sweep, run_activation_site_sweep_with, SiteSweepConfig};
+use crate::campaign::{run_activation_site_sweep, SiteSweepConfig};
 use crate::inject::{guarded_sites, ANY_BIT};
 
 const MAGIC: &[u8; 4] = b"PGVP";
@@ -143,30 +143,14 @@ impl Error for ProfileDecodeError {}
 impl VulnerabilityProfile {
     /// Measures a profile by sweeping unguarded transient activation
     /// faults over every guarded site of `net` (see
-    /// [`run_activation_site_sweep`]).
+    /// [`run_activation_site_sweep`]), sequentially on the caller's thread.
     ///
     /// # Panics
     ///
     /// Panics if `inputs` is empty or `net` has no guarded sites.
     pub fn measure(net: &mut Network, inputs: &[Tensor], cfg: &ProfileConfig) -> Self {
-        let report = run_activation_site_sweep(net, inputs, &Self::sweep_config(net, cfg));
-        Self::from_report(net, cfg, report)
-    }
-
-    /// Like [`VulnerabilityProfile::measure`], with per-site campaigns sharded
-    /// across `pool`; the profile is bit-identical to the sequential one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs` is empty or `net` has no guarded sites.
-    pub fn measure_with(
-        net: &mut Network,
-        inputs: &[Tensor],
-        cfg: &ProfileConfig,
-        pool: &WorkerPool,
-    ) -> Self {
-        let report =
-            run_activation_site_sweep_with(net, inputs, &Self::sweep_config(net, cfg), pool);
+        let sweep = Self::sweep_config(net, cfg);
+        let report = run_activation_site_sweep(net, inputs, &sweep, &WorkerPool::new(1));
         Self::from_report(net, cfg, report)
     }
 
@@ -435,8 +419,6 @@ mod tests {
         assert_eq!(sites, guarded_sites(&net));
         // Unguarded measurement can never classify a trial as detected.
         assert!(a.sites.iter().all(|v| v.detected == 0));
-        let pool = WorkerPool::new(3);
-        assert_eq!(VulnerabilityProfile::measure_with(&mut net, &inputs, &cfg, &pool), a);
     }
 
     #[test]

@@ -7,19 +7,25 @@
 //! finished, and returns the results in submission order. A panic inside a
 //! job is caught on the worker (which survives and keeps serving the
 //! queue) and re-raised on the submitting thread, so a poisoned job cannot
-//! strand the pool.
+//! strand the pool. A width-1 pool spawns no thread and runs every batch
+//! inline on the caller: it is the workspace's sequential runner.
+//!
+//! [`WorkerPool::shard_map`] is the one batch shape built on `run`: items
+//! split into contiguous shards, one per caller-owned state (member
+//! replicas for request batches, network clones for fault campaigns and
+//! per-site sweeps), each shard mapped in order on its own state.
 //!
 //! ## Determinism contract
 //!
 //! A job's output never depends on which worker ran it or on the pool
 //! width: `run` returns exactly what executing the jobs sequentially in
 //! submission order would return. Every parallel path in the workspace
-//! (ensemble training, batch evaluation, fault campaigns) leans on this —
-//! parallel results are bit-identical to sequential ones. The contract
-//! covers panic semantics too: *every* job in a batch runs to completion
-//! (so side effects are width-independent) and the earliest-submitted
-//! panic is re-raised afterwards, whether the batch ran inline or on the
-//! workers.
+//! (ensemble training, batch evaluation, serving, fault campaigns) leans
+//! on this — parallel results are bit-identical to sequential ones. The
+//! contract covers panic semantics too: *every* job in a batch runs to
+//! completion (so side effects are width-independent) and the
+//! earliest-submitted panic is re-raised afterwards, whether the batch ran
+//! inline or on the workers.
 //!
 //! ## Sizing
 //!
@@ -75,9 +81,13 @@ pub struct WorkerPool {
 }
 
 impl WorkerPool {
-    /// Spawns a pool with `threads` workers (clamped to at least 1).
+    /// Spawns a pool with `threads` workers (clamped to at least 1). A
+    /// width-1 pool spawns no thread: every batch runs inline on the
+    /// caller.
     pub fn new(threads: usize) -> Self {
-        let threads = threads.max(1);
+        if threads <= 1 {
+            return WorkerPool { sender: None, workers: Vec::new() };
+        }
         let (sender, receiver) = channel::<Job>();
         let receiver = Arc::new(Mutex::new(receiver));
         let workers = (0..threads)
@@ -92,9 +102,10 @@ impl WorkerPool {
         WorkerPool { sender: Some(sender), workers }
     }
 
-    /// The pool's worker-thread count.
+    /// The pool's width: its worker-thread count, or 1 for the inline
+    /// pool.
     pub fn threads(&self) -> usize {
-        self.workers.len()
+        self.workers.len().max(1)
     }
 
     /// Runs `jobs` on the workers and returns their outputs in submission
@@ -214,6 +225,39 @@ impl WorkerPool {
         }
         out
     }
+
+    /// Runs `each` over `items` in contiguous submission-order shards, one
+    /// per state in `states`, and returns the results in item order. Each
+    /// shard runs its items in order on its own state, so when `each`'s
+    /// result does not depend on which state ran it, the output is the
+    /// sequential map at any pool width and any state count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `items` is non-empty and `states` is empty, and re-raises
+    /// a panic from `each` as [`WorkerPool::run`] does.
+    pub fn shard_map<S: Send, T: Sync, R: Send>(
+        &self,
+        states: &mut [S],
+        items: &[T],
+        each: impl Fn(&mut S, &T) -> R + Sync,
+    ) -> Vec<R> {
+        assert!(items.is_empty() || !states.is_empty(), "shard_map needs a state per shard");
+        let each = &each;
+        let jobs: Vec<_> = shard_ranges(items.len(), states.len())
+            .into_iter()
+            .zip(states)
+            .map(|(range, state)| {
+                move || {
+                    // pgmr-lint: allow(hot-path-alloc): per-shard outcome marshalling — one Vec per shard per batch, not per image
+                    items[range].iter().map(|item| each(state, item)).collect::<Vec<_>>()
+                }
+            })
+            // pgmr-lint: allow(hot-path-alloc): per-batch job list, bounded by the state count
+            .collect();
+        // pgmr-lint: allow(hot-path-alloc): per-batch outcome concatenation, bounded by batch size
+        self.run(jobs).into_iter().flatten().collect()
+    }
 }
 
 impl Drop for WorkerPool {
@@ -281,10 +325,10 @@ pub fn global() -> &'static WorkerPool {
 }
 
 /// Splits `0..len` into at most `shards` contiguous near-equal ranges
-/// (longer ranges first, empties dropped) — the standard work split for
-/// sharded batch processing: concatenating per-range results in order
+/// (longer ranges first, empties dropped) — the work split of
+/// [`WorkerPool::shard_map`]: concatenating per-range results in order
 /// reproduces the sequential output exactly.
-pub fn shard_ranges(len: usize, shards: usize) -> Vec<std::ops::Range<usize>> {
+fn shard_ranges(len: usize, shards: usize) -> Vec<std::ops::Range<usize>> {
     let shards = shards.clamp(1, len.max(1));
     let base = len / shards;
     let extra = len % shards;

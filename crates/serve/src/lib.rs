@@ -25,10 +25,10 @@
 //!   completions.
 //! * The batcher collects an admission window — up to
 //!   [`ServeConfig::max_batch`] requests or [`ServeConfig::max_delay`]
-//!   after the first arrival, whichever closes first — and dispatches the
-//!   batch across the member replicas on a serve-owned [`WorkerPool`]
-//!   (dedicated, because nesting `run` calls into the shared global pool
-//!   can deadlock).
+//!   after the first arrival, whichever closes first — and shards the
+//!   batch across the member replicas with [`WorkerPool::shard_map`] on a
+//!   serve-owned pool (dedicated, because nesting `run` calls into the
+//!   shared global pool can deadlock).
 //! * Each request runs the system's [`RequestEngine`]: its per-request
 //!   core on the worker's replicas, then its fold, in submission order, on
 //!   the batcher thread. Unguarded, the core is
@@ -92,7 +92,7 @@ use pgmr_tensor::Tensor;
 use polygraph_mr::ensemble::Member;
 use polygraph_mr::rade::StagedDecision;
 use polygraph_mr::stream::{ReliabilityMonitor, StreamHealth};
-use polygraph_mr::system::{shard_requests, FaultEvent, PolygraphSystem, RequestEngine};
+use polygraph_mr::system::{FaultEvent, PolygraphSystem, RequestEngine};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -483,7 +483,7 @@ impl BatchEngine {
         // Each shard runs its requests in order on its own replica set, so
         // folding the outcomes in order reproduces the sequential fold.
         let engine = &self.engine;
-        let outcomes = shard_requests(&self.pool, &mut self.replicas, &batch, |members, r| {
+        let outcomes = self.pool.shard_map(&mut self.replicas, &batch, |members, r| {
             let in_time = |_| r.deadline.is_none_or(|d| Instant::now() < d);
             (engine.forwards(members, &r.image, in_time), Instant::now())
         });

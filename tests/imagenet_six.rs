@@ -19,11 +19,20 @@ fn every_fig1_network_learns_above_chance() {
     // the set as a whole must show real learning. Per-network bars would
     // be brittle here — VGG (no normalization) in particular needs its
     // Small-scale schedule to move at all.
+    // The six members are independent: train and score them as jobs on
+    // the shared pool, as `SystemBuilder::build` trains its candidates.
+    let jobs: Vec<_> = six
+        .iter()
+        .map(|bench| {
+            move || {
+                let mut member = bench.member(Preprocessor::Identity, 3);
+                member.accuracy(&bench.data(Split::Test).truncated(150))
+            }
+        })
+        .collect();
+    let accuracies = pgmr::nn::pool::global().run(jobs);
     let mut above_chance = 0;
-    for bench in &six {
-        let mut member = bench.member(Preprocessor::Identity, 3);
-        let test = bench.data(Split::Test).truncated(150);
-        let acc = member.accuracy(&test);
+    for (bench, acc) in six.iter().zip(accuracies) {
         assert!((0.0..=1.0).contains(&acc), "{} produced invalid accuracy", bench.id);
         if acc > chance * 1.4 {
             above_chance += 1;
