@@ -1,52 +1,6 @@
 //! Offline stand-in for the subset of the `bytes` crate this workspace
-//! uses: `BytesMut` as a growable little-endian writer and `Buf` as a
+//! uses: `BufMut` as a little-endian writer into `Vec<u8>` and `Buf` as a
 //! consuming little-endian reader over `&[u8]`.
-
-/// Growable byte buffer (thin wrapper over `Vec<u8>`).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BytesMut {
-    data: Vec<u8>,
-}
-
-impl BytesMut {
-    /// An empty buffer.
-    pub fn new() -> Self {
-        BytesMut::default()
-    }
-
-    /// An empty buffer with reserved capacity.
-    pub fn with_capacity(cap: usize) -> Self {
-        BytesMut { data: Vec::with_capacity(cap) }
-    }
-
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// True when nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Copies the contents into a fresh `Vec`.
-    pub fn to_vec(&self) -> Vec<u8> {
-        self.data.clone()
-    }
-}
-
-impl std::ops::Deref for BytesMut {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        &self.data
-    }
-}
-
-impl From<BytesMut> for Vec<u8> {
-    fn from(b: BytesMut) -> Vec<u8> {
-        b.data
-    }
-}
 
 /// Little-endian write methods.
 pub trait BufMut {
@@ -64,24 +18,24 @@ pub trait BufMut {
     fn put_f32_le(&mut self, v: f32);
 }
 
-impl BufMut for BytesMut {
+impl BufMut for Vec<u8> {
     fn put_slice(&mut self, src: &[u8]) {
-        self.data.extend_from_slice(src);
+        self.extend_from_slice(src);
     }
     fn put_u8(&mut self, v: u8) {
-        self.data.push(v);
+        self.push(v);
     }
     fn put_u16_le(&mut self, v: u16) {
-        self.data.extend_from_slice(&v.to_le_bytes());
+        self.extend_from_slice(&v.to_le_bytes());
     }
     fn put_u32_le(&mut self, v: u32) {
-        self.data.extend_from_slice(&v.to_le_bytes());
+        self.extend_from_slice(&v.to_le_bytes());
     }
     fn put_u64_le(&mut self, v: u64) {
-        self.data.extend_from_slice(&v.to_le_bytes());
+        self.extend_from_slice(&v.to_le_bytes());
     }
     fn put_f32_le(&mut self, v: f32) {
-        self.data.extend_from_slice(&v.to_le_bytes());
+        self.extend_from_slice(&v.to_le_bytes());
     }
 }
 
@@ -146,15 +100,14 @@ mod tests {
 
     #[test]
     fn round_trip_all_widths() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         buf.put_slice(b"PGMR");
         buf.put_u8(7);
         buf.put_u16_le(0x1234);
         buf.put_u32_le(0xdead_beef);
         buf.put_u64_le(0x0102_0304_0506_0708);
         buf.put_f32_le(1.5);
-        let blob = buf.to_vec();
-        let mut r: &[u8] = &blob;
+        let mut r: &[u8] = &buf;
         assert_eq!(r.remaining(), 23);
         assert_eq!(&r[..4], b"PGMR");
         r.advance(4);

@@ -5,31 +5,24 @@
 //! transient faults at each guarded activation site turned into silent
 //! data corruption when nothing was protected — the measurement HarDNN
 //! argues concentrates in a few layers. Profiles are persisted next to
-//! the cached weight blobs in a digest-verified binary format (same
-//! FNV-1a primitive as the v3 weight codec) and *self-heal*: a corrupted,
-//! stale, or mismatched artifact is silently replaced by re-running the
-//! measurement campaign.
+//! the cached weight blobs in the weight codec's digest-verified frame
+//! ([`pgmr_nn::serialize::write_frame`] / [`read_frame`]: magic `b"PGVP"`,
+//! version 1, body length, FNV-1a digest, arch-id prefix) and *self-heal*:
+//! a corrupted, stale, or mismatched artifact is silently replaced by
+//! re-running the measurement campaign. The frame's payload is:
 //!
 //! ```text
-//! magic  b"PGVP"
-//! version u16
-//! body_len u32                          (bytes after the checksum field)
-//! checksum u64                          (FNV-1a over the body)
-//! body:
-//!   arch_id len u16 + utf-8 bytes
-//!   seed u64, rate f64, bits lo u8 + hi u8, trials_per_site u32
-//!   site count u32
-//!   per site: site u32, masked u32, sdc u32, detected u32, injected u64
+//! seed u64, rate f64, bits lo u8 + hi u8, trials_per_site u32
+//! site count u32
+//! per site: site u32, masked u32, sdc u32, detected u32, injected u64
 //! ```
 
-use std::error::Error;
-use std::fmt;
 use std::ops::RangeInclusive;
 use std::path::Path;
 
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{Buf, BufMut};
 use pgmr_nn::pool::WorkerPool;
-use pgmr_nn::serialize::fnv1a;
+use pgmr_nn::serialize::{read_frame, write_frame, FrameError};
 use pgmr_nn::{CheckPlan, Network, ProtectionLevel};
 use pgmr_tensor::Tensor;
 
@@ -110,35 +103,10 @@ pub enum ProfileSource {
     Measured,
 }
 
-/// Error decoding a profile artifact. Any of these triggers the
-/// self-healing re-measurement path in
+/// Error decoding a profile artifact: the shared frame's errors. Any of
+/// these triggers the self-healing re-measurement path in
 /// [`VulnerabilityProfile::load_or_measure`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ProfileDecodeError {
-    /// The blob does not start with the expected magic bytes.
-    BadMagic,
-    /// The blob's format version is unsupported.
-    BadVersion(u16),
-    /// The blob ended before all declared data was read.
-    Truncated,
-    /// The body digest does not match — storage corruption.
-    ChecksumMismatch,
-}
-
-impl fmt::Display for ProfileDecodeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ProfileDecodeError::BadMagic => write!(f, "missing PGVP magic bytes"),
-            ProfileDecodeError::BadVersion(v) => write!(f, "unsupported profile version {v}"),
-            ProfileDecodeError::Truncated => write!(f, "profile truncated"),
-            ProfileDecodeError::ChecksumMismatch => {
-                write!(f, "profile checksum mismatch (storage corruption)")
-            }
-        }
-    }
-}
-
-impl Error for ProfileDecodeError {}
+pub type ProfileDecodeError = FrameError;
 
 impl VulnerabilityProfile {
     /// Measures a profile by sweeping unguarded transient activation
@@ -248,32 +216,24 @@ impl VulnerabilityProfile {
 
     /// Serializes the profile (see the module docs for the layout).
     pub fn encode(&self) -> Vec<u8> {
-        let mut body = BytesMut::new();
-        let arch = self.arch_id.as_bytes();
-        body.put_u16_le(arch.len() as u16);
-        body.put_slice(arch);
-        body.put_u64_le(self.config.seed);
-        // The compat `bytes` stub has no f64 accessors; the bit pattern
-        // round-trips exactly either way.
-        body.put_u64_le(self.config.rate.to_bits());
-        body.put_u8(*self.config.bits.start());
-        body.put_u8(*self.config.bits.end());
-        body.put_u32_le(self.config.trials_per_site as u32);
-        body.put_u32_le(self.sites.len() as u32);
-        for v in &self.sites {
-            body.put_u32_le(v.site as u32);
-            body.put_u32_le(v.masked as u32);
-            body.put_u32_le(v.sdc as u32);
-            body.put_u32_le(v.detected as u32);
-            body.put_u64_le(v.injected as u64);
-        }
-        let mut buf = BytesMut::with_capacity(body.len() + 18);
-        buf.put_slice(MAGIC);
-        buf.put_u16_le(VERSION);
-        buf.put_u32_le(body.len() as u32);
-        buf.put_u64_le(fnv1a(&body));
-        buf.put_slice(&body);
-        buf.to_vec()
+        let payload_len = 8 + 8 + 2 + 4 + 4 + (4 * 4 + 8) * self.sites.len();
+        write_frame(MAGIC, VERSION, &self.arch_id, payload_len, |buf| {
+            buf.put_u64_le(self.config.seed);
+            // The compat `bytes` stub has no f64 accessors; the bit pattern
+            // round-trips exactly either way.
+            buf.put_u64_le(self.config.rate.to_bits());
+            buf.put_u8(*self.config.bits.start());
+            buf.put_u8(*self.config.bits.end());
+            buf.put_u32_le(self.config.trials_per_site as u32);
+            buf.put_u32_le(self.sites.len() as u32);
+            for v in &self.sites {
+                buf.put_u32_le(v.site as u32);
+                buf.put_u32_le(v.masked as u32);
+                buf.put_u32_le(v.sdc as u32);
+                buf.put_u32_le(v.detected as u32);
+                buf.put_u64_le(v.injected as u64);
+            }
+        })
     }
 
     /// Decodes a profile artifact produced by
@@ -284,38 +244,7 @@ impl VulnerabilityProfile {
     /// Returns a [`ProfileDecodeError`] when the blob is malformed or its
     /// digest does not match.
     pub fn decode(blob: &[u8]) -> Result<Self, ProfileDecodeError> {
-        let mut buf = blob;
-        if buf.remaining() < 4 || &buf[..4] != MAGIC {
-            return Err(ProfileDecodeError::BadMagic);
-        }
-        buf.advance(4);
-        if buf.remaining() < 2 {
-            return Err(ProfileDecodeError::Truncated);
-        }
-        let version = buf.get_u16_le();
-        if version != VERSION {
-            return Err(ProfileDecodeError::BadVersion(version));
-        }
-        if buf.remaining() < 12 {
-            return Err(ProfileDecodeError::Truncated);
-        }
-        let body_len = buf.get_u32_le() as usize;
-        let checksum = buf.get_u64_le();
-        if buf.remaining() < body_len {
-            return Err(ProfileDecodeError::Truncated);
-        }
-        if fnv1a(&buf[..body_len]) != checksum {
-            return Err(ProfileDecodeError::ChecksumMismatch);
-        }
-        if buf.remaining() < 2 {
-            return Err(ProfileDecodeError::Truncated);
-        }
-        let arch_len = buf.get_u16_le() as usize;
-        if buf.remaining() < arch_len {
-            return Err(ProfileDecodeError::Truncated);
-        }
-        let arch_id = String::from_utf8_lossy(&buf[..arch_len]).into_owned();
-        buf.advance(arch_len);
+        let (arch_id, mut buf) = read_frame(blob, MAGIC, VERSION)?;
         if buf.remaining() < 8 + 8 + 2 + 4 + 4 {
             return Err(ProfileDecodeError::Truncated);
         }

@@ -30,7 +30,8 @@
 //! * [`workspace`] — the reusable inference arena behind the
 //!   inference-only, zero-allocation `Layer::forward_into` (one per
 //!   thread, reused across members and batches),
-//! * [`serialize`] — a versioned binary parameter codec,
+//! * [`serialize`] — the versioned binary parameter codec and the
+//!   digest-verified frame it shares with the other cached artifacts,
 //! * [`store`] — the process-wide model store: digest-verified weight
 //!   arenas shared read-only across tenants (owned↔shared `ParamSlot`
 //!   split, one digest verification per blob).

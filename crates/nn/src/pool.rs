@@ -475,6 +475,20 @@ mod tests {
     }
 
     #[test]
+    fn one_item_shard_map_runs_on_the_callers_thread() {
+        // A lone request must not pay a worker hand-off: one item is one
+        // shard is one job, and `run` inlines a batch of one.
+        let pool = WorkerPool::new(4);
+        let caller = std::thread::current().id();
+        let mut states = [(); 4];
+        let on = pool.shard_map(&mut states, &[0u8], |_, _| std::thread::current().id());
+        assert_eq!(on, vec![caller]);
+        // Two items are two jobs, and those go to the workers.
+        let on = pool.shard_map(&mut states, &[0u8, 1], |_, _| std::thread::current().id());
+        assert!(on.iter().all(|&id| id != caller), "{on:?}");
+    }
+
+    #[test]
     fn shard_ranges_cover_exactly_once() {
         for len in [0usize, 1, 2, 7, 8, 9, 100] {
             for shards in [1usize, 2, 3, 8, 200] {

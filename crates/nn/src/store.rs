@@ -11,6 +11,12 @@
 //! running statistics) and bookkeeping — never another weight copy and
 //! never another digest verification.
 //!
+//! The store parses nothing itself: [`StoredModel::from_blob`] is
+//! [`decode_params_arena`], the codec's one tensor-record parser, and
+//! [`StoredModel::attach`] runs the same inventory check as
+//! [`decode_params`](crate::serialize::decode_params). Anything derived
+//! once per blob belongs in that decode, and every tenant shares it.
+//!
 //! The [`model_store`] singleton keys models by their cache path, which
 //! the `suite` blob cache feeds directly; tests that redirect the cache
 //! directory get distinct keys for free, and [`ModelStore::clear`]
@@ -64,7 +70,8 @@ impl StoredModel {
     /// buffers are copied (they are mutable per-tenant inference state).
     /// No weight bytes are copied and the digest is not re-verified.
     ///
-    /// Shapes are validated up front; on error the network is untouched.
+    /// The inventory check is the one [`decode_params`](crate::serialize::decode_params)
+    /// runs; on error the network is untouched.
     ///
     /// # Errors
     ///
@@ -72,55 +79,12 @@ impl StoredModel {
     /// different architecture, [`DecodeParamsError::ShapeMismatch`] when
     /// the slot or buffer inventory disagrees.
     pub fn attach(&self, net: &mut Network) -> Result<(), DecodeParamsError> {
-        if net.arch_id() != self.params.arch_id {
-            return Err(DecodeParamsError::ArchMismatch {
-                expected: self.params.arch_id.clone(),
-                found: net.arch_id().to_string(),
-            });
-        }
-        let mut ok = true;
-        {
-            let mut i = 0;
-            let views = &self.params.views;
+        self.params.install(net, |net, views| {
+            let mut views = views.iter().cloned();
             net.visit_slots(&mut |slot| {
-                if i >= views.len() || slot.value.shape() != views[i].shape() {
-                    ok = false;
-                }
-                i += 1;
+                *slot = ParamSlot::share(views.next().expect("inventory checked"));
             });
-            if i != views.len() {
-                ok = false;
-            }
-        }
-        {
-            let mut i = 0;
-            let buffers = &self.params.buffers;
-            net.visit_buffers(&mut |b| {
-                if i >= buffers.len() || b.len() != buffers[i].len() {
-                    ok = false;
-                }
-                i += 1;
-            });
-            if i != buffers.len() {
-                ok = false;
-            }
-        }
-        if !ok {
-            return Err(DecodeParamsError::ShapeMismatch);
-        }
-        let mut i = 0;
-        let views = &self.params.views;
-        net.visit_slots(&mut |slot| {
-            *slot = ParamSlot::share(views[i].clone());
-            i += 1;
-        });
-        let mut i = 0;
-        let buffers = &self.params.buffers;
-        net.visit_buffers(&mut |b| {
-            b.copy_from_slice(&buffers[i]);
-            i += 1;
-        });
-        Ok(())
+        })
     }
 }
 
@@ -259,6 +223,37 @@ mod tests {
         match stored.attach(&mut b) {
             Err(DecodeParamsError::ArchMismatch { .. }) => {}
             other => panic!("expected arch mismatch, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn decode_and_attach_reject_same_arch_id_with_other_layers() {
+        use crate::layer::Layer;
+        use crate::layers::{Dense, Flatten};
+        use crate::serialize::decode_params;
+        // Impostors that claim lenet5's arch id but hold dense stacks: only
+        // the inventory can tell them apart. Two dense layers give fewer
+        // slots than lenet5; four give as many slots, of other shapes.
+        let spec = ArchSpec::lenet5(1, 16, 16, 10);
+        let mut rng = StdRng::seed_from_u64(4);
+        for widths in [&[16 * 16, 10][..], &[16 * 16, 32, 32, 32, 10]] {
+            let mut layers: Vec<Box<dyn Layer>> = vec![Box::new(Flatten::new())];
+            for w in widths.windows(2) {
+                layers.push(Box::new(Dense::new(w[0], w[1], &mut rng)));
+            }
+            let mut impostor = Network::new(layers, spec.arch_id(), 10);
+            let mut real = build(&spec, 0);
+            for (blob, target) in [
+                (encode_params(&mut impostor), &mut real),
+                (encode_params(&mut build(&spec, 1)), &mut impostor),
+            ] {
+                let before = target.state_dict();
+                assert_eq!(decode_params(target, &blob), Err(DecodeParamsError::ShapeMismatch));
+                assert_eq!(target.state_dict(), before);
+                let stored = StoredModel::from_blob(&blob).unwrap();
+                assert_eq!(stored.attach(target), Err(DecodeParamsError::ShapeMismatch));
+                assert_eq!(target.state_dict(), before);
+            }
         }
     }
 

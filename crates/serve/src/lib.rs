@@ -188,7 +188,10 @@ struct Request {
     image: Tensor,
     submitted: Instant,
     deadline: Option<Instant>,
-    reply: Sender<Completion>,
+    /// The client's completion channel; `None` for requests submitted
+    /// through [`ServeHandle::submit`], answered on the channel whose only
+    /// sender the batcher owns.
+    reply: Option<Sender<Completion>>,
 }
 
 /// Queue messages: requests, plus the shutdown marker that lets
@@ -232,6 +235,15 @@ impl Submitter {
         deadline: Option<Duration>,
         reply: &Sender<Completion>,
     ) -> RequestId {
+        self.enqueue(image, deadline, Some(reply.clone()))
+    }
+
+    fn enqueue(
+        &self,
+        image: Tensor,
+        deadline: Option<Duration>,
+        reply: Option<Sender<Completion>>,
+    ) -> RequestId {
         let submitted = Instant::now();
         let id = {
             let mut next = self.shared.next_id.lock().expect(POISONED);
@@ -247,13 +259,8 @@ impl Submitter {
         }
         self.shared.stats.lock().expect(POISONED).submitted += 1;
         obs.counter("serve.submitted_total").inc();
-        let request = Request {
-            id,
-            image,
-            submitted,
-            deadline: deadline.map(|d| submitted + d),
-            reply: reply.clone(),
-        };
+        let request =
+            Request { id, image, submitted, deadline: deadline.map(|d| submitted + d), reply };
         self.sender
             .send(Envelope::Request(request))
             .expect("request submitted to a shut-down serve front-end");
@@ -266,7 +273,6 @@ impl Submitter {
 /// batcher thread's lifecycle.
 pub struct ServeHandle {
     submitter: Submitter,
-    reply: Sender<Completion>,
     completions: Receiver<Completion>,
     batcher: Option<JoinHandle<()>>,
     shared: Arc<Shared>,
@@ -309,8 +315,10 @@ impl ServeHandle {
             health: Mutex::new(StreamHealth::WarmingUp),
         });
         let (sender, receiver) = channel();
+        let (handle_reply, completions) = channel();
         let engine = BatchEngine {
             receiver,
+            handle_reply,
             replicas,
             pool: WorkerPool::new(workers),
             engine: system.request_engine(),
@@ -323,10 +331,8 @@ impl ServeHandle {
             .name("pgmr-serve-batcher".into())
             .spawn(move || engine.run())
             .expect("spawn serve batcher thread");
-        let (reply, completions) = channel();
         ServeHandle {
             submitter: Submitter { sender, shared: Arc::clone(&shared) },
-            reply,
             completions,
             batcher: Some(batcher),
             shared,
@@ -337,7 +343,7 @@ impl ServeHandle {
     /// handle's own channel ([`ServeHandle::drain`] /
     /// [`ServeHandle::try_drain`]). See [`Submitter::submit`].
     pub fn submit(&self, image: Tensor, deadline: Option<Duration>) -> RequestId {
-        self.submitter.submit(image, deadline, &self.reply)
+        self.submitter.enqueue(image, deadline, None)
     }
 
     /// A cloneable submission endpoint for client threads. Completions for
@@ -359,7 +365,9 @@ impl ServeHandle {
 
     /// Blocks until `n` completions for handle-submitted requests have
     /// arrived (in submission order) and returns them. Fewer come back
-    /// only if the front-end dies first.
+    /// only if the front-end dies first: the batcher owns the only sender
+    /// of the handle's channel, so its exit ends the wait
+    /// ([`ServeHandle::shutdown`] then re-raises its panic).
     pub fn drain(&self, n: usize) -> Vec<Completion> {
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
@@ -421,6 +429,8 @@ impl Drop for ServeHandle {
 /// on the dedicated serve thread.
 struct BatchEngine {
     receiver: Receiver<Envelope>,
+    /// The only sender of the handle's completion channel.
+    handle_reply: Sender<Completion>,
     /// One member replica set per worker — workers answer bit-identically
     /// because forward passes are deterministic.
     replicas: Vec<Vec<Member>>,
@@ -517,7 +527,8 @@ impl BatchEngine {
             *self.shared.health.lock().expect(POISONED) = health;
             // A client that dropped its reply receiver forfeits the
             // answer; the front-end keeps serving.
-            let _ = r.reply.send(Completion {
+            let reply = r.reply.as_ref().unwrap_or(&self.handle_reply);
+            let _ = reply.send(Completion {
                 id: r.id,
                 decision: out.decision,
                 deadline_degraded: degraded,

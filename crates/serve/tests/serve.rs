@@ -1,6 +1,7 @@
 //! Concurrency and determinism tests for the serving front-end:
 //! admission-window bounds, bit-identical parity with sequential
-//! inference under open deadlines, and deadline-expiry degradation.
+//! inference under open deadlines, deadline-expiry degradation, and a
+//! batcher that dies mid-stream.
 
 use pgmr_datasets::{families, Dataset, Split};
 use pgmr_nn::zoo::ArchSpec;
@@ -272,4 +273,21 @@ fn serve_runs_the_fault_policy_like_sequential_guarded_inference() {
             "the serve monitor must see every quarantine"
         );
     }
+}
+
+#[test]
+fn drain_returns_what_arrived_once_the_batcher_has_died() {
+    // Untrained members suffice: the request only has to crash the batch.
+    let spec = ArchSpec::convnet(1, 16, 16, 10);
+    let members = (0..3)
+        .map(|seed| Member::new(Preprocessor::Identity, pgmr_nn::zoo::build(&spec, seed)))
+        .collect();
+    let system = PolygraphSystem::new(Ensemble::new(members), Thresholds::new(0.4, 2));
+    let handle = ServeHandle::spawn(&system, ServeConfig::default());
+    // An image of the wrong geometry panics the forward pass, and with it
+    // the batcher thread.
+    handle.submit(pgmr_tensor::Tensor::zeros(vec![1, 1, 3, 3]), None);
+    assert!(handle.drain(1).is_empty(), "a dead batcher answers nothing");
+    let shutdown = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handle.shutdown()));
+    assert!(shutdown.is_err(), "shutdown must re-raise the batcher's panic");
 }
